@@ -9,7 +9,6 @@ byte-identical bytes.  Wall-clock fields are therefore never serialized.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -23,7 +22,8 @@ from .errors import BudgetExceededError, DomainError, HardyHeatError
 from .mc_oracle import McConfig, feynman_kac, fk_invariance_defect
 from .params import (ModelParams, delta_of_kappa, kappa_curve, kappa_of_beta,
                      kappa_star)
-from .stable_kernel import free_kernel, kernel_t
+from .results import make_result
+from .stable_kernel import free_kernel
 from .verifier import (blowup_probe, bounds_scan, check_chapman_kolmogorov,
                        check_H_supermedian, check_invariance,
                        check_supermedian, continuity_scan)
@@ -151,9 +151,6 @@ def _output_options(fn):
 def main():
     """Heat kernel of the fractional Laplacian with a critical Hardy
     potential: construction and verification suites."""
-    threads = os.environ.get("HARDYHEAT_THREADS")
-    if threads:
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
 
 
 def _run(fn):
@@ -170,6 +167,28 @@ def _run(fn):
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_FAIL)
     sys.exit(code)
+
+
+def _run_checks(payload: dict, checks, budget: float | None,
+                output: str | None) -> int:
+    """Collect the CheckResults that checks yields into payload["results"],
+    checking the budget after each one, then emit the payload with its
+    overall status.  On an exceeded budget the partial payload is emitted
+    before the error propagates."""
+    bud = Budget(budget)
+    results = payload["results"] = []
+    try:
+        for res in checks:
+            results.append(res)
+            bud.check()
+    except BudgetExceededError:
+        payload["status"] = "budget_exceeded"
+        _emit_json(payload, output)
+        raise
+    ok = all(r.status == "pass" for r in results)
+    payload["status"] = "pass" if ok else "fail"
+    _emit_json(payload, output)
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 @main.command()
@@ -285,53 +304,35 @@ def verify(d, alpha, kappa, delta, suite, paths, seed, fmt, output, budget):
     """Run an identity/bound verification suite."""
     def body():
         params = _parse_kappa(d, alpha, kappa, delta)
-        bud = Budget(budget)
-        results = []
-        payload = {"suite": suite, "results": results}
-        try:
-            if suite == "blowup":
-                report = blowup_probe(1.0, (1.0, 0.0), (-1.0, 0.0), params)
-                payload["report"] = report
-                ok = report.diverged if params.kappa > kappa_star(d, alpha) \
-                    else report.converged
-                payload["status"] = "pass" if ok else "fail"
-                _emit_json(payload, output)
-                return EXIT_PASS if ok else EXIT_FAIL
+        payload = {"suite": suite}
+        if suite == "blowup":
+            report = blowup_probe(1.0, (1.0, 0.0), (-1.0, 0.0), params)
+            ok = report.diverged if params.kappa > kappa_star(d, alpha) \
+                else report.converged
+            payload.update(results=[], report=report,
+                           status="pass" if ok else "fail")
+            _emit_json(payload, output)
+            return EXIT_PASS if ok else EXIT_FAIL
+
+        def checks():
             if suite in ("invariance", "all"):
                 beta = 0.25 * params.delta
-                results.append(check_invariance(beta, 1.0, (1.0, 0.0),
-                                                params))
-                bud.check()
-                mc_cfg = McConfig(n_paths=paths, seed=seed)
+                yield check_invariance(beta, 1.0, (1.0, 0.0), params)
+                t0 = time.time()
                 est = fk_invariance_defect((1.0, 0.0), 1.0, beta, params,
-                                           mc_cfg)
-                z = abs(est.mean) / max(est.std_error, 1e-300)
-                results.append({
-                    "name": "invariance_mc", "defect": abs(est.mean),
-                    "tolerance": 3.0 * est.std_error,
-                    "status": "pass" if z <= 3.0 else "fail",
-                    "details": {"mean": est.mean,
-                                "std_error": est.std_error}})
-                bud.check()
+                                           McConfig(n_paths=paths, seed=seed))
+                yield make_result("invariance_mc", abs(est.mean),
+                                  3.0 * est.std_error, t0, mean=est.mean,
+                                  std_error=est.std_error)
             if suite in ("supermedian", "all"):
                 for t, rx in ((1.0, 1.0), (1.0, 0.1), (4.0, 1.0)):
-                    results.append(check_supermedian(t, (rx, 0.0), params))
-                    bud.check()
-                results.append(check_H_supermedian(1.0, (1.0, 0.0), params))
-                bud.check()
+                    yield check_supermedian(t, (rx, 0.0), params)
+                yield check_H_supermedian(1.0, (1.0, 0.0), params)
             if suite in ("chapman", "all"):
-                results.append(check_chapman_kolmogorov(
-                    0.5, 0.5, (1.0, 0.0), (0.0, 1.0), params))
-                bud.check()
-        except BudgetExceededError:
-            payload["status"] = "budget_exceeded"
-            _emit_json(payload, output)
-            raise
-        ok = all((r.status if hasattr(r, "status") else r["status"]) == "pass"
-                 for r in results)
-        payload["status"] = "pass" if ok else "fail"
-        _emit_json(payload, output)
-        return EXIT_PASS if ok else EXIT_FAIL
+                yield check_chapman_kolmogorov(0.5, 0.5, (1.0, 0.0),
+                                               (0.0, 1.0), params)
+
+        return _run_checks(payload, checks(), budget, output)
     _run(body)
 
 
@@ -372,31 +373,20 @@ def form(d, alpha, kappa, delta, fmt, output, budget):
     test-function corpus, plus the near-optimizer family."""
     def body():
         params = _parse_kappa(d, alpha, kappa, delta)
-        bud = Budget(budget)
-        results = []
-        payload = {"results": results}
-        try:
+        payload = {}
+
+        def checks():
             for tf in forms_mod.load_corpus(d, alpha):
-                results.append(forms_mod.check_hardy(tf, params))
-                results.append(forms_mod.check_form_identity(tf, params))
-                bud.check()
+                yield forms_mod.check_hardy(tf, params)
+                yield forms_mod.check_form_identity(tf, params)
+            t0 = time.time()
             gaps = forms_mod.near_optimizer_gaps([2, 4, 8], params)
             payload["near_optimizer_gaps"] = gaps
             decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
-            results.append({
-                "name": "near_optimizer_gap_decreasing",
-                "status": "pass" if decreasing else "fail",
-                "defect": 0.0 if decreasing else 1.0, "tolerance": 0.0,
-                "details": {"gaps": gaps}})
-        except BudgetExceededError:
-            payload["status"] = "budget_exceeded"
-            _emit_json(payload, output)
-            raise
-        ok = all((r.status if hasattr(r, "status") else r["status"]) == "pass"
-                 for r in results)
-        payload["status"] = "pass" if ok else "fail"
-        _emit_json(payload, output)
-        return EXIT_PASS if ok else EXIT_FAIL
+            yield make_result("near_optimizer_gap_decreasing",
+                              0.0 if decreasing else 1.0, 0.0, t0, gaps=gaps)
+
+        return _run_checks(payload, checks(), budget, output)
     _run(body)
 
 

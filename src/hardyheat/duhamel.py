@@ -23,14 +23,14 @@ which stays accurate when the kernel peak is narrower than the grid spacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import log, pi
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .params import ModelParams, Regime, kappa_of_beta
-from .quadrature import epsilon_accelerate, log_panel_nodes, refined_unit_nodes
+from .quadrature import log_panel_nodes, refined_unit_nodes
 from .stable_kernel import (
     KernelValue,
     Method,
@@ -44,7 +44,7 @@ from .stable_kernel import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureConfig:
     """Discretization knobs for the series engines."""
 
@@ -91,12 +91,28 @@ class SeriesState:
     def value(self) -> float:
         return float(np.sum(self.terms))
 
-    @property
-    def quotient(self) -> float:
-        """Last increment ratio (estimate of the geometric decay rate)."""
-        if len(self.terms) < 2 or self.terms[-2] == 0.0:
-            return 0.0
-        return float(self.terms[-1] / self.terms[-2])
+
+def _as_point(x) -> np.ndarray:
+    """A point (or an array of points, last axis the coordinates) in the
+    plane; a bare radius r stands for (r, 0)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.size == 1:
+        x = np.array([float(x[0]), 0.0])
+    return x
+
+
+def _resolution_blend(r, s: float, alpha: float, target, mass):
+    """(lam, scale) of the peak-resolution blend around radius r at time s.
+
+    The kernel peak (width s^{1/alpha}) is unresolved by the local grid
+    spacing when lam -> 1; there the singularity-subtracted form
+    g(r) + int p (g - g(r)) is used.  In the resolved regime (lam -> 0) the
+    discrete kernel mass is rescaled toward its exact value target, with the
+    factor clipped to [0.5, 2].
+    """
+    lam = np.clip(np.log((0.5 * r) ** alpha / s) / log(16.0), 0.0, 1.0)
+    factor = np.clip(target / np.maximum(mass, 1e-300), 0.5, 2.0)
+    return lam, 1.0 + (1.0 - lam) * (factor - 1.0)
 
 
 def _log_interp_matrix(r_grid: np.ndarray, targets: np.ndarray, gamma: float) -> np.ndarray:
@@ -181,19 +197,13 @@ class RadialWeightedEngine:
             # resample phi at (1-s)^{-1/alpha} a_j, then weight by a^{-alpha}
             R = _log_interp_matrix(r, cs * r, beta)
             DR = (pref * r[:, None] ** (-alpha)) * R
-            # the kernel peak (width s^{1/alpha}) is unresolved by the local
-            # grid spacing when lam -> 1; there the singularity-subtracted
-            # form g(r) + int p (g - g(r)) is used.  In the resolved regime
-            # the rows are rescaled to the exact mass (1 minus the ring
-            # masses outside the grid), removing the leading quadrature error.
-            lam = np.clip(np.log((0.5 * r) ** alpha / s) / log(16.0), 0.0, 1.0)
+            # resolved rows are rescaled to the exact mass (1 minus the ring
+            # masses outside the grid), removing the leading quadrature error
             a_in, w_in = log_panel_nodes(1e-4 * self.cfg.eps0, self.cfg.eps0, 8, 2)
             th_in = angular_average(s, r[:, None], a_in[None, :], d, alpha)
             mass_in = area * (th_in @ (w_in * a_in ** (d - 1)))
             mass_out = area * s * a_levy * self.cfg.r_max ** (-alpha) / alpha
-            factor = np.clip((1.0 - mass_in - mass_out) / np.maximum(mass, 1e-300),
-                             0.5, 2.0)
-            scale = 1.0 + (1.0 - lam) * (factor - 1.0)
+            lam, scale = _resolution_blend(r, s, alpha, 1.0 - mass_in - mass_out, mass)
             theta = theta * scale[:, None]
             mass = mass * scale
             K += (kappa * ws) * ((theta @ DR) + (lam * (1.0 - mass))[:, None] * DR)
@@ -214,50 +224,16 @@ class RadialWeightedEngine:
             K[:, -1] += (kappa * ws) * ring_out
         return K
 
-    # -- series / solve routes ---------------------------------------------
-
-    def series_terms(self, n_terms: int) -> np.ndarray:
-        """Array of shape (n_terms + 1, n_r): phi_0 .. phi_{n_terms}."""
-        terms = [self._phi0]
-        for _ in range(n_terms):
-            terms.append(self._operator @ terms[-1])
-        return np.array(terms)
+    # -- evaluation ---------------------------------------------------------
 
     def solve(self) -> np.ndarray:
         """Sum of the series by direct solve of (I - K) F = phi_0."""
         n = len(self.r_grid)
         return np.linalg.solve(np.eye(n) - self._operator, self._phi0)
 
-    def series_sum(self, rel_tol: float | None = None):
-        """(profile, converged): accelerated series sum on the radial grid."""
-        tol = rel_tol if rel_tol is not None else self.cfg.rel_tol
-        partial = self._phi0.copy()
-        term = self._phi0
-        history = [partial.copy()]
-        for _ in range(self.cfg.max_terms):
-            term = self._operator @ term
-            partial = partial + term
-            history.append(partial.copy())
-            if np.all(np.abs(term) <= tol * np.abs(partial)):
-                return partial, True
-        # accelerate the slowly converging (critical) case pointwise
-        hist = np.array(history)
-        out = np.empty(len(self.r_grid))
-        for i in range(len(self.r_grid)):
-            out[i], _ = epsilon_accelerate(hist[-30:, i])
-        return out, False
-
-    # -- evaluation ---------------------------------------------------------
-
-    def profile(self, route: str = "solve") -> np.ndarray:
-        if route == "solve":
-            return self.solve()
-        prof, _ = self.series_sum()
-        return prof
-
-    def evaluator(self, route: str = "solve"):
+    def evaluator(self):
         """Callable F(t, radius) built from the t = 1 profile by scaling."""
-        prof = self.profile(route)
+        prof = self.solve()
         alpha, beta = self.params.alpha, self.beta
         r = self.r_grid
         logr = np.log(r)
@@ -278,10 +254,9 @@ class RadialWeightedEngine:
         return F
 
 
-def time_integrated_profile(engine: RadialWeightedEngine, t: float, radius,
-                            route: str = "solve"):
+def time_integrated_profile(engine: RadialWeightedEngine, t: float, radius):
     """int_0^t F_beta(s, x) ds at |x| = radius, from the engine's t=1 profile."""
-    F = engine.evaluator(route)
+    F = engine.evaluator()
     radius = np.asarray(radius, dtype=float)
     s_lo = 1e-7 * t
     xs, ws = log_panel_nodes(s_lo, t, n_per_panel=12, per_decade=4)
@@ -316,9 +291,7 @@ class PlanarKernelEngine:
         self.params = params
         self.cfg = cfg or QuadratureConfig()
         self.t = float(t)
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.size == 1:
-            y = np.array([float(y[0]), 0.0])
+        y = _as_point(y)
         self.ry = float(np.hypot(y[0], y[1]))
         self.y_angle = float(np.arctan2(y[1], y[0]))
         if self.ry <= 0.0:
@@ -356,7 +329,7 @@ class PlanarKernelEngine:
         self._p0 = np.array([self._free_at_y(tk) for tk in self.tau])
         self._p1 = None
         self._terms_cache: list = []
-        self._fp_cache: dict = {}
+        self._fp = None
 
     # -- free-kernel helpers -------------------------------------------------
 
@@ -383,10 +356,6 @@ class PlanarKernelEngine:
         col = (self.cell_w[:, 0] * self.n_theta)  # sum over angles of cell_w
         return (khat[:, :, 0].real @ col) / self.n_theta * 1.0  # f=0 term carries the sum
 
-    def _lam(self, s: float) -> np.ndarray:
-        alpha = self.params.alpha
-        return np.clip(np.log((0.5 * self.r_grid) ** alpha / s) / log(16.0), 0.0, 1.0)
-
     def _convolve(self, s: float, G: np.ndarray) -> np.ndarray:
         """int p(s, z, w) G(w) dw with the resolution blend and inner ring.
 
@@ -396,10 +365,8 @@ class PlanarKernelEngine:
         alpha = self.params.alpha
         khat = self._kernel_fft(s)
         mass = self._mass(khat)
-        lam = self._lam(s)
         disc = pi * self.r_min ** 2 * kernel_t(s, self.r_grid, 2, alpha)
-        factor = np.clip((1.0 - disc) / np.maximum(mass, 1e-300), 0.5, 2.0)
-        scale = 1.0 + (1.0 - lam) * (factor - 1.0)
+        lam, scale = _resolution_blend(self.r_grid, s, alpha, 1.0 - disc, mass)
         out = scale[:, None] * self._apply(khat, G)
         out += (lam * (1.0 - scale * mass))[:, None] * G
         return out
@@ -440,8 +407,7 @@ class PlanarKernelEngine:
                     # free factor peaked at y: subtract around y
                     py = self._free_at_y(sp)
                     massY = float(np.sum(self.cell_w * py))
-                    lamY = float(np.clip(log((0.5 * ry) ** alpha / sp) / log(16.0), 0.0, 1.0))
-                    scaleY = 1.0 + (1.0 - lamY) * (np.clip(1.0 / max(massY, 1e-300), 0.5, 2.0) - 1.0)
+                    lamY, scaleY = _resolution_blend(ry, sp, alpha, 1.0, massY)
                     khat = self._kernel_fft(s)
                     I = self._apply(khat, scaleY * py * self.r_grid[:, None] ** (-alpha))
                     fy = kernel_t(s, self.dist_y, 2, alpha) * ry ** (-alpha)
@@ -496,17 +462,15 @@ class PlanarKernelEngine:
             cache.append(self.apply_duhamel(cache[-1]))
         return cache[: n_terms + 1]
 
-    def fixed_point(self, rel_tol: float | None = None, max_iter: int | None = None):
-        """(V, converged, n_iter): iterate V <- p_1 + K V to stall.
+    def fixed_point(self):
+        """(V, converged, n_iter): iterate V <- p_1 + K V to stall (cached).
 
         The convergence norm is the relative sup norm against the running
         total p_0 + V, which tracks the natural p H H weight.
         """
-        tol = rel_tol if rel_tol is not None else self.cfg.rel_tol
-        mx = max_iter if max_iter is not None else self.cfg.max_terms
-        key = (tol, mx)
-        if key in self._fp_cache:
-            return self._fp_cache[key]
+        if self._fp is not None:
+            return self._fp
+        tol, mx = self.cfg.rel_tol, self.cfg.max_terms
         p1 = self.first_term()
         V = p1.copy()
         V_prev = None
@@ -516,8 +480,8 @@ class PlanarKernelEngine:
                 raise DivergenceError("fixed-point iteration diverged")
             change = np.max(np.abs(Vn - V) / (self._p0 + np.abs(Vn) + 1e-300))
             if change < tol:
-                self._fp_cache[key] = (Vn, True, it + 1)
-                return self._fp_cache[key]
+                self._fp = (Vn, True, it + 1)
+                return self._fp
             if V_prev is not None and (it + 1) % 5 == 0:
                 # pointwise Aitken jump; the next sweep re-enters the
                 # contraction, so an imperfect jump is self-correcting
@@ -529,38 +493,35 @@ class PlanarKernelEngine:
                 V_prev, V = Vn, np.maximum(jump, 0.0)
             else:
                 V_prev, V = V, Vn
-        self._fp_cache[key] = (V, False, mx)
-        return self._fp_cache[key]
+        self._fp = (V, False, mx)
+        return self._fp
 
     # -- evaluation ----------------------------------------------------------
 
-    def _value_from_grid(self, U_slice: np.ndarray, x) -> float:
-        """Bilinear (log r, theta) interpolation of a grid slice at point x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.size == 1:
-            x = np.array([float(x[0]), 0.0])
-        rx = float(np.hypot(x[0], x[1]))
-        th = (float(np.arctan2(x[1], x[0])) - self.y_angle) % (2.0 * pi)
-        r = self.r_grid
-        rx = min(max(rx, r[0]), r[-1])
-        i = int(np.clip(np.searchsorted(r, rx) - 1, 0, len(r) - 2))
-        fr = log(rx / r[i]) / log(r[i + 1] / r[i])
-        j = int(th / (2.0 * pi) * self.n_theta) % self.n_theta
-        ft = th / self.w_theta - j
-        j2 = (j + 1) % self.n_theta
-        logs = np.log(np.maximum(U_slice[i:i + 2][:, [j, j2]], 1e-300))
-        val = ((1 - fr) * (1 - ft) * logs[0, 0] + (1 - fr) * ft * logs[0, 1]
-               + fr * (1 - ft) * logs[1, 0] + fr * ft * logs[1, 1])
-        return float(np.exp(val))
+    def _value_from_grid(self, U_slice: np.ndarray, x) -> np.ndarray:
+        """Bilinear (log r, theta) interpolation of a grid slice at the
+        points x (last axis the coordinates); one value per point."""
+        x = _as_point(x)
+        r, n = self.r_grid, self.n_theta
+        rx = np.clip(np.hypot(x[..., 0], x[..., 1]), r[0], r[-1])
+        th = (np.arctan2(x[..., 1], x[..., 0]) - self.y_angle) % (2.0 * pi)
+        i = np.clip(np.searchsorted(r, rx) - 1, 0, len(r) - 2)
+        fr = np.log(rx / r[i]) / np.log(r[i + 1] / r[i])
+        # the fraction is taken before the index wraps: a point just below
+        # the axis has th -> 2 pi and reads column 0 at ft -> 0
+        jr = (th / (2.0 * pi) * n).astype(int)
+        ft = th / self.w_theta - jr
+        j = jr % n
+        j2 = (j + 1) % n
+        L = np.log(np.maximum(U_slice, 1e-300))
+        val = ((1 - fr) * (1 - ft) * L[i, j] + (1 - fr) * ft * L[i, j2]
+               + fr * (1 - ft) * L[i + 1, j] + fr * ft * L[i + 1, j2])
+        return np.exp(val)
 
-    def value_at(self, x, tau_index: int = -1, route: str = "fixed_point") -> KernelValue:
-        if route == "fixed_point":
-            V, ok, _ = self.fixed_point()
-        else:
-            terms = self.terms(self.cfg.max_terms)
-            V, ok = sum(terms[1:]), True
-        U = self._p0 + V
-        val = self._value_from_grid(U[tau_index], x)
+    def value_at(self, x) -> KernelValue:
+        """p_tilde(t, x, y) from the converged fixed point."""
+        V, ok, _ = self.fixed_point()
+        val = float(self._value_from_grid(self._p0[-1] + V[-1], x))
         err = max(self.cfg.rel_tol, 2e-2) * val
         return KernelValue(val, err if ok else 5.0 * err, Method.FIXED_POINT)
 
@@ -569,15 +530,22 @@ class PlanarKernelEngine:
 # Module-level operations (thin wrappers over the pointwise engine)
 
 
+def _cached(cache: dict, capacity: int, key, build):
+    """The value cached under key, built on a miss; the oldest entry is
+    evicted once the cache holds capacity entries."""
+    if key not in cache:
+        if len(cache) >= capacity:
+            cache.pop(next(iter(cache)))
+        cache[key] = build()
+    return cache[key]
+
+
+# Keys carry (d, alpha, kappa) rather than the ModelParams: above the
+# critical coupling delta is NaN, so equal params would compare unequal.
 _ENGINE_CACHE: dict = {}
 _ENGINE_CACHE_MAX = 6
-
-
-def _as_point(x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size == 1:
-        x = np.array([float(x[0]), 0.0])
-    return x
+_RADIAL_CACHE: dict = {}
+_RADIAL_CACHE_MAX = 10
 
 
 def _get_engine(params: ModelParams, t: float, y,
@@ -585,34 +553,18 @@ def _get_engine(params: ModelParams, t: float, y,
     """Pointwise engine centered at y, cached across wrapper calls."""
     cfg = cfg or QuadratureConfig()
     y = _as_point(y)
-    key = (params.d, params.alpha, params.kappa, float(t), float(y[0]), float(y[1]),
-           cfg.rel_tol, cfg.eps0, cfg.time_subdivisions, cfg.max_terms,
-           cfg.r_max, cfg.radial_per_decade, cfg.n_angular,
-           cfg.sigma_per_decade, cfg.sigma_per_panel, cfg.sigma_edge)
-    if key not in _ENGINE_CACHE:
-        if len(_ENGINE_CACHE) >= _ENGINE_CACHE_MAX:
-            _ENGINE_CACHE.pop(next(iter(_ENGINE_CACHE)))
-        _ENGINE_CACHE[key] = PlanarKernelEngine(params, t, y, cfg)
-    return _ENGINE_CACHE[key]
-
-
-_RADIAL_CACHE: dict = {}
-_RADIAL_CACHE_MAX = 10
+    key = (params.d, params.alpha, params.kappa, float(t), float(y[0]), float(y[1]), cfg)
+    return _cached(_ENGINE_CACHE, _ENGINE_CACHE_MAX, key,
+                   lambda: PlanarKernelEngine(params, t, y, cfg))
 
 
 def get_radial_engine(params: ModelParams, beta: float,
                       cfg: QuadratureConfig | None = None) -> RadialWeightedEngine:
     """Weighted-mass engine for (params, beta), cached across calls."""
     cfg = cfg or QuadratureConfig()
-    key = (params.d, params.alpha, params.kappa, float(beta),
-           cfg.rel_tol, cfg.eps0, cfg.time_subdivisions, cfg.max_terms,
-           cfg.r_max, cfg.radial_per_decade, cfg.n_angular,
-           cfg.sigma_per_decade, cfg.sigma_per_panel, cfg.sigma_edge)
-    if key not in _RADIAL_CACHE:
-        if len(_RADIAL_CACHE) >= _RADIAL_CACHE_MAX:
-            _RADIAL_CACHE.pop(next(iter(_RADIAL_CACHE)))
-        _RADIAL_CACHE[key] = RadialWeightedEngine(params, beta, cfg)
-    return _RADIAL_CACHE[key]
+    key = (params.d, params.alpha, params.kappa, float(beta), cfg)
+    return _cached(_RADIAL_CACHE, _RADIAL_CACHE_MAX, key,
+                   lambda: RadialWeightedEngine(params, beta, cfg))
 
 
 def perturbation_term(n: int, t: float, x, y, params: ModelParams,
@@ -633,7 +585,7 @@ def perturbation_term(n: int, t: float, x, y, params: ModelParams,
         return KernelValue(0.0, 0.0, Method.SERIES)
     eng = _get_engine(params, t, y, cfg)
     term = eng.terms(n)[n]
-    val = eng._value_from_grid(term[-1], x)
+    val = float(eng._value_from_grid(term[-1], x))
     return KernelValue(val, max(eng.cfg.rel_tol, 2e-2) * val, Method.SERIES)
 
 
@@ -662,7 +614,7 @@ def tilde_p(t: float, x, y, params: ModelParams,
     converged = False
     for n in range(1, cfg.max_terms + 1):
         grid_terms = eng.terms(n)
-        terms.append(eng._value_from_grid(grid_terms[n][-1], x))
+        terms.append(float(eng._value_from_grid(grid_terms[n][-1], x)))
         if n >= 3:
             q = abs(terms[-1]) / max(abs(terms[-2]), 1e-300)
             partial = float(np.sum(terms))
@@ -691,7 +643,7 @@ def tilde_p_fixed_point(t: float, x, y_grid, params: ModelParams,
         raise DomainError("the fixed point requires a subcritical or critical coupling")
     x = _as_point(x)
     eng = _get_engine(params, t, x, cfg)
-    return [eng.value_at(_as_point(y), route="fixed_point") for y in y_grid]
+    return [eng.value_at(y) for y in y_grid]
 
 
 def duhamel_residual(t: float, x, y, p_tilde_eval, params: ModelParams) -> float:
@@ -716,8 +668,8 @@ def duhamel_residual(t: float, x, y, p_tilde_eval, params: ModelParams) -> float
     dxy = float(np.hypot(x[0] - y[0], x[1] - y[1]))
     p0_xy = kernel_t(t, dxy, 2, alpha)
     V, _, _ = eng.fixed_point()
-    v_xy = eng._value_from_grid(V[-1], y)
-    p1_xy = eng._value_from_grid(eng.first_term()[-1], y)
+    v_xy = float(eng._value_from_grid(V[-1], y))
+    p1_xy = float(eng._value_from_grid(eng.first_term()[-1], y))
     ptilde = p0_xy + v_xy
     if kappa == 0.0:
         return abs(v_xy) / ptilde
@@ -739,9 +691,8 @@ def duhamel_residual(t: float, x, y, p_tilde_eval, params: ModelParams) -> float
         P = kernel_t(sp, dz_y, 2, alpha)
         mass = float(np.sum(eng.cell_w * P))
         # resolution blend around the kernel peak at z = y
-        lam_y = float(np.clip(log((0.5 * ry) ** alpha / sp) / log(16.0), 0.0, 1.0))
-        scale = 1.0 + (1.0 - lam_y) * (np.clip(1.0 / max(mass, 1e-300), 0.5, 2.0) - 1.0)
-        g_y = eng._value_from_grid(np.maximum(Vs, 1e-300), y) * max(ry, 1e-300) ** (-alpha)
+        lam_y, scale = _resolution_blend(ry, sp, alpha, 1.0, mass)
+        g_y = float(eng._value_from_grid(np.maximum(Vs, 1e-300), y)) * max(ry, 1e-300) ** (-alpha)
         I = float(np.sum(eng.cell_w * P * G)) * scale
         I += lam_y * (1.0 - scale * mass) * g_y
         # inner disc: continue V |z|^{-alpha} inward as a power law, kernel

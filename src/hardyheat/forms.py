@@ -26,8 +26,8 @@ from scipy.special import hyp2f1, j0
 from .errors import DomainError, QuadratureError
 from .params import ModelParams, kappa_star
 from .quadrature import log_panel_nodes, panel_nodes
+from .results import CheckResult, make_result
 from .stable_kernel import levy_constant, sphere_area
-from .verifier import CheckResult
 
 
 @dataclass(frozen=True)
@@ -530,11 +530,8 @@ def check_hardy(f: TestFunction, params: ModelParams,
     rhs = ks * weighted_l2(f, alpha, d)
     gap = e.value - rhs
     defect = max(0.0, -gap) / max(e.value, 1e-300)
-    status = "pass" if defect <= tolerance else "fail"
-    return CheckResult(name="hardy_inequality", status=status, defect=defect,
-                       tolerance=tolerance, runtime=time.time() - t0,
-                       details={"energy": e.value, "weighted_mass_side": rhs,
-                                "gap": gap})
+    return make_result("hardy_inequality", defect, tolerance, t0,
+                       energy=e.value, weighted_mass_side=rhs, gap=gap)
 
 
 def check_form_identity(f: TestFunction, params: ModelParams,
@@ -545,11 +542,8 @@ def check_form_identity(f: TestFunction, params: ModelParams,
     bar = bar_energy(f, params)
     pot = params.kappa * weighted_l2(f, params.alpha, params.d)
     defect = abs(bar.value - (e.value - pot)) / max(e.value, 1.0)
-    status = "pass" if defect <= tolerance else "fail"
-    return CheckResult(name="form_identity", status=status, defect=defect,
-                       tolerance=tolerance, runtime=time.time() - t0,
-                       details={"bar_energy": bar.value, "energy": e.value,
-                                "potential_term": pot})
+    return make_result("form_identity", defect, tolerance, t0,
+                       bar_energy=bar.value, energy=e.value, potential_term=pot)
 
 
 def near_optimizer_gaps(ns, params: ModelParams) -> list:

@@ -92,20 +92,6 @@ def stable_increments(rng: np.random.Generator, n: int, d: int, h: float,
     return np.sqrt(2.0 * s)[:, None] * z
 
 
-def sample_stable_path(x0, t: float, alpha: float, d: int, cfg: McConfig,
-                       rng: np.random.Generator) -> list:
-    """One path of the stable process started at x0, as (time, position) pairs."""
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    x = np.asarray(x0, dtype=float).reshape(1, d)
-    h = t / cfg.n_steps
-    path = [(0.0, x[0].copy())]
-    for k in range(cfg.n_steps):
-        x = x + stable_increments(rng, 1, d, h, alpha)
-        path.append(((k + 1) * h, x[0].copy()))
-    return path
-
-
 def _advance(rng: np.random.Generator, x: np.ndarray, h: float, level: int,
              alpha: float, cfg: McConfig):
     """Advance all paths by time h; returns (new positions, functional increment).

@@ -7,7 +7,6 @@ the regime classification (subcritical / critical / supercritical).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import Enum
 from math import exp, isfinite
@@ -159,13 +158,3 @@ def kappa_curve(d: int, alpha: float, n_points: int) -> np.ndarray:
     for i, b in enumerate(betas[1:-1], start=1):
         kappas[i] = kappa_of_beta(d, alpha, float(b))
     return np.column_stack([betas, kappas])
-
-
-def kappa_curve_csv(d: int, alpha: float, n_points: int) -> str:
-    """CSV rendering of the coupling curve, header ``beta,kappa_beta``."""
-    table = kappa_curve(d, alpha, n_points)
-    buf = io.StringIO()
-    buf.write("beta,kappa_beta\n")
-    for beta, kb in table:
-        buf.write(f"{beta:.10g},{kb:.10g}\n")
-    return buf.getvalue()

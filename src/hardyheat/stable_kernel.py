@@ -35,7 +35,6 @@ class Method(Enum):
     FOURIER_INVERSION = "fourier_inversion"
     SERIES = "series"
     FIXED_POINT = "fixed_point"
-    MONTE_CARLO = "monte_carlo"
 
 
 @dataclass(frozen=True)
@@ -70,14 +69,6 @@ def levy_constant(d: int, alpha: float) -> float:
         * _gamma((d + alpha) / 2.0)
         / (pi ** (d / 2.0) * _gamma(1.0 - alpha / 2.0))
     )
-
-
-def levy_density(y, d: int, alpha: float) -> float:
-    """Jump intensity at y (vector or radius)."""
-    r = float(np.linalg.norm(y)) if np.ndim(y) else float(y)
-    if r <= 0.0:
-        raise DomainError("Levy density is singular at the origin")
-    return levy_constant(d, alpha) * r ** (-d - alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -365,30 +356,10 @@ def _symbol_unit_integral(d: int, alpha: float) -> float:
 # Weighted integrals against |z|^{-beta}
 
 
-def normalizer_c1(d: int, alpha: float, beta: float, tol: float = 1e-10) -> float:
-    """Normalizer of the time-weight representation of |x|^{-beta}.
-
-    1 / int_0^infty s^{(d-alpha-beta)/alpha} p_s(e) ds for a unit vector e.
-    """
-    if not (0.0 < beta < d):
-        raise DomainError(f"beta must lie in (0, d), got {beta}")
-    nu = (d - alpha - beta) / alpha
-    xs, ws = log_panel_nodes(1e-9, 1e9, n_per_panel=16, per_decade=3)
-    vals = kernel_t(xs, 1.0, d, alpha)
-    integral = float(np.sum(ws * xs ** nu * vals))
-    # endpoint continuations: integrand ~ A s^{nu+1} at 0, ~ p_1(0) s^{nu - d/alpha} at inf
-    a_tail = levy_constant(d, alpha)
-    integral += a_tail * (1e-9) ** (nu + 2.0) / (nu + 2.0)
-    p0 = unit_density(0.0, d, alpha)[0]
-    expo = nu - d / alpha + 1.0  # = -beta/alpha < 0
-    integral += p0 * (1e9) ** expo / (-expo)
-    if integral <= 0.0:
-        raise QuadratureError("normalizer quadrature failed")
-    return 1.0 / integral
-
-
 def closed_form_c1(d: int, alpha: float, beta: float) -> float:
-    """Gamma-function closed form of the same normalizer (used as an oracle)."""
+    """Normalizer of the time-weight representation of |x|^{-beta}:
+    1 / int_0^infty s^{(d-alpha-beta)/alpha} p_s(e) ds for a unit vector e,
+    in Gamma-function closed form."""
     if not (0.0 < beta < d):
         raise DomainError(f"beta must lie in (0, d), got {beta}")
     lognum = (d - beta) * log(2.0) + (d / 2.0) * log(pi) + lgamma((d - beta) / 2.0)
@@ -418,13 +389,6 @@ def weighted_mass(s: float, x, beta: float, d: int, alpha: float) -> KernelValue
     integral += p0 * u_hi ** expo / (-expo)
     val = c1 * integral
     return KernelValue(val, abs(val) * 1e-7, Method.FOURIER_INVERSION)
-
-
-def weighted_mass_envelope(s: float, r: float, beta: float, alpha: float) -> float:
-    """Comparability envelope min(s^{-beta/alpha}, r^{-beta})."""
-    if r <= 0.0:
-        return s ** (-beta / alpha)
-    return min(s ** (-beta / alpha), r ** (-beta))
 
 
 def time_integrated_mass(t: float, x, beta: float, d: int, alpha: float) -> float:

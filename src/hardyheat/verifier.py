@@ -11,7 +11,7 @@ deep radial grid.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import log, pi
 
 import numpy as np
@@ -29,19 +29,8 @@ from .duhamel import (
     time_integrated_profile,
     _get_engine,
 )
+from .results import CheckResult, make_result
 from .stable_kernel import kernel_t
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one verification check."""
-
-    name: str
-    status: str            # "pass" | "fail" | "warn"
-    defect: float
-    tolerance: float
-    runtime: float
-    details: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -78,15 +67,6 @@ def H_weight(t: float, radius, delta: float, alpha: float):
     return t ** (delta / alpha) * radius ** (-delta) + 1.0
 
 
-def _result(name: str, defect: float, tol: float, t0: float,
-            warn_only: bool = False, **details) -> CheckResult:
-    ok = defect <= tol
-    status = "pass" if ok else ("warn" if warn_only else "fail")
-    return CheckResult(name=name, status=status, defect=float(defect),
-                       tolerance=float(tol), runtime=time.time() - t0,
-                       details=details)
-
-
 # ---------------------------------------------------------------------------
 # Chapman-Kolmogorov
 
@@ -118,8 +98,8 @@ def check_chapman_kolmogorov(s: float, t: float, x, y, params: ModelParams,
         lhs = _free_convolution(s, t, x, y, params.d, params.alpha)
         rhs = kernel_t(s + t, float(np.hypot(*(x - y))), params.d, params.alpha)
         defect = abs(lhs - rhs) / rhs
-        return _result("chapman_kolmogorov", defect, 1e-6, t0,
-                       lhs=lhs, rhs=rhs)
+        return make_result("chapman_kolmogorov", defect, 1e-6, t0,
+                           lhs=lhs, rhs=rhs)
     cfg = cfg or QuadratureConfig()
     eng_a = _get_engine(params, t, y, cfg)      # p~(t, z, y) on grid A
     eng_b = _get_engine(params, s, x, cfg)      # p~(s, x, z) via symmetry
@@ -137,13 +117,7 @@ def check_chapman_kolmogorov(s: float, t: float, x, y, params: ModelParams,
     lhs += _peaked_cross(s, x, eng_a, Va_slice, params)
     r = eng_a.r_grid
     th = eng_a.theta + eng_a.y_angle
-    zx = r[:, None] * np.cos(th)[None, :]
-    zy = r[:, None] * np.sin(th)[None, :]
-    Vb_on_a = np.empty_like(Va_slice)
-    for i in range(len(r)):
-        for j in range(len(th)):
-            Vb_on_a[i, j] = eng_b._value_from_grid(
-                Vb_slice, (zx[i, j], zy[i, j]))
+    Vb_on_a = eng_b._value_from_grid(Vb_slice, _polar_points(r, th))
     lhs += float(np.sum(eng_a.cell_w * Va_slice * Vb_on_a))
     # inner disc: both corrections behave like |z|^{-delta} there
     delta = params.delta
@@ -153,7 +127,13 @@ def check_chapman_kolmogorov(s: float, t: float, x, y, params: ModelParams,
     eng_c = _get_engine(params, s + t, y, cfg)
     rhs = eng_c.value_at(x).value
     defect = abs(lhs - rhs) / rhs
-    return _result("chapman_kolmogorov", defect, 1e-2, t0, lhs=lhs, rhs=rhs)
+    return make_result("chapman_kolmogorov", defect, 1e-2, t0, lhs=lhs, rhs=rhs)
+
+
+def _polar_points(r, th, center=(0.0, 0.0)) -> np.ndarray:
+    """Points center + r (cos th, sin th) on the (r, th) grid, shape (nr, nth, 2)."""
+    return np.stack([center[0] + r[:, None] * np.cos(th)[None, :],
+                     center[1] + r[:, None] * np.sin(th)[None, :]], axis=-1)
 
 
 def _peaked_cross(t_free: float, c_free, eng, V_slice,
@@ -171,14 +151,10 @@ def _peaked_cross(t_free: float, c_free, eng, V_slice,
                            n_per_panel=6, per_decade=4)
     n_th = 48
     th = 2.0 * pi * np.arange(n_th) / n_th
-    zx = c_free[0] + r[:, None] * np.cos(th)[None, :]
-    zy = c_free[1] + r[:, None] * np.sin(th)[None, :]
-    rad = np.hypot(zx, zy)
+    z = _polar_points(r, th, c_free)
+    rad = np.hypot(z[..., 0], z[..., 1])
     p0 = kernel_t(t_free, r, params.d, params.alpha)
-    V = np.empty_like(zx)
-    for i in range(len(r)):
-        for j in range(n_th):
-            V[i, j] = eng._value_from_grid(V_slice, (zx[i, j], zy[i, j]))
+    V = eng._value_from_grid(V_slice, z)
     total = float(np.sum((w * r * p0)[:, None] * V) * (2.0 * pi / n_th))
     # origin refinement: V ~ |z|^{-delta} is not resolved by the peak grid
     # when the origin sits off-center, so add a local patch minus the coarse
@@ -191,15 +167,10 @@ def _peaked_cross(t_free: float, c_free, eng, V_slice,
         coarse = float(np.sum(np.where(
             inside, (w * r * p0)[:, None] * V, 0.0)) * (2.0 * pi / n_th))
         rp, wp = log_panel_nodes(1e-6 * rc, rc, n_per_panel=6, per_decade=4)
-        thp = 2.0 * pi * np.arange(n_th) / n_th
-        px = rp[:, None] * np.cos(thp)[None, :]
-        py = rp[:, None] * np.sin(thp)[None, :]
-        dfree = np.hypot(px - c_free[0], py - c_free[1])
+        zp = _polar_points(rp, th)
+        dfree = np.hypot(zp[..., 0] - c_free[0], zp[..., 1] - c_free[1])
         p0p = kernel_t(t_free, dfree, params.d, params.alpha)
-        Vp = np.empty_like(px)
-        for i in range(len(rp)):
-            for j in range(n_th):
-                Vp[i, j] = eng._value_from_grid(V_slice, (px[i, j], py[i, j]))
+        Vp = eng._value_from_grid(V_slice, zp)
         patch = float(np.sum((wp * rp)[:, None] * p0p * Vp)
                       * (2.0 * pi / n_th))
         total += patch - coarse
@@ -225,7 +196,7 @@ def check_supermedian(t: float, x, params: ModelParams,
     delta = params.delta
     cfg = cfg or QuadratureConfig()
     eng = get_radial_engine(params, delta, cfg)
-    F = eng.evaluator("solve")
+    F = eng.evaluator()
     lhs = float(F(t, rx))
     target = rx ** -delta
     defect = abs(lhs - target) / target
@@ -240,7 +211,7 @@ def check_supermedian(t: float, x, params: ModelParams,
         details.update(mc_mean=est.mean, mc_std_error=est.std_error, mc_z=z)
         violated = violated or est.mean > target + 3.0 * est.std_error
         defect = max(defect, 0.0 if z <= 3.0 else z * est.std_error / target)
-    res = _result("supermedian_equality", defect, tol, t0, **details)
+    res = make_result("supermedian_equality", defect, tol, t0, **details)
     if violated and res.status == "pass":
         res = replace(res, status="fail")
     return res
@@ -261,8 +232,8 @@ def check_H_supermedian(t: float, x, params: ModelParams,
     rx = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
     cfg = cfg or QuadratureConfig()
     eng_0 = get_radial_engine(params, 0.0, cfg)
-    F0 = eng_0.evaluator("solve")
-    Fd = get_radial_engine(params, delta, cfg).evaluator("solve") \
+    F0 = eng_0.evaluator()
+    Fd = get_radial_engine(params, delta, cfg).evaluator() \
         if delta > 0.0 else F0
 
     def ratio(tt: float, rr) -> np.ndarray:
@@ -275,9 +246,9 @@ def check_H_supermedian(t: float, x, params: ModelParams,
     r1 = float(ratio(t, np.array([rx]))[0])
     r2 = float(ratio(1.0, np.array([rx * t ** (-1.0 / alpha)]))[0])
     scale_defect = abs(r1 - r2) / r2
-    return _result("H_supermedian", scale_defect, 1e-10 if t == 1.0 else 1e-6,
-                   t0, empirical_M=m_plus_1 - 1.0, ratio_at_x=r1,
-                   grid_max=m_plus_1, grid_min=float(np.min(grid_ratio)))
+    return make_result("H_supermedian", scale_defect, 1e-10 if t == 1.0 else 1e-6,
+                       t0, empirical_M=m_plus_1 - 1.0, ratio_at_x=r1,
+                       grid_max=m_plus_1, grid_min=float(np.min(grid_ratio)))
 
 
 def check_invariance(beta: float, t: float, x, params: ModelParams,
@@ -297,39 +268,43 @@ def check_invariance(beta: float, t: float, x, params: ModelParams,
     cfg = cfg or QuadratureConfig()
     kb = kappa_of_beta(d, alpha, beta)
     eng_lhs = get_radial_engine(params, beta, cfg)
-    lhs = float(eng_lhs.evaluator("solve")(t, rx))
+    lhs = float(eng_lhs.evaluator()(t, rx))
     eng_ta = get_radial_engine(params, beta + alpha, cfg)
-    ti = float(time_integrated_profile(eng_ta, t, np.float64(rx), "solve"))
+    ti = float(time_integrated_profile(eng_ta, t, np.float64(rx)))
     rhs = rx ** -beta + (params.kappa - kb) * ti
     defect = abs(lhs - rhs) / abs(rhs)
-    return _result("invariance", defect, 1e-2, t0, lhs=lhs, rhs=rhs,
-                   beta=beta, kappa_beta=kb)
+    return make_result("invariance", defect, 1e-2, t0, lhs=lhs, rhs=rhs,
+                       beta=beta, kappa_beta=kb)
 
 
 # ---------------------------------------------------------------------------
 # Two-sided estimate scan
 
 
-def _scan_ratios(params: ModelParams, cfg: QuadratureConfig, radii, angles,
-                 y0) -> np.ndarray:
+def _kernel_slice(params: ModelParams, cfg: QuadratureConfig, y0):
+    """(engine, p~(1, ., y0) on its grid) from the cached fixed point."""
     eng = _get_engine(params, 1.0, y0, cfg)
     V, _, _ = eng.fixed_point()
-    U = eng._p0[-1] + V[-1]
-    delta = params.delta
-    hy = float(H_weight(1.0, np.hypot(*y0), delta, params.alpha))
-    out = np.empty((len(radii), len(angles)))
-    for i, r in enumerate(radii):
-        for j, a in enumerate(angles):
-            xx = (r * np.cos(a), r * np.sin(a))
-            dist = np.hypot(xx[0] - y0[0], xx[1] - y0[1])
-            if dist < 1e-6:
-                out[i, j] = np.nan
-                continue
-            val = eng._value_from_grid(U, xx)
-            p = kernel_t(1.0, dist, params.d, params.alpha)
-            hx = float(H_weight(1.0, r, delta, params.alpha))
-            out[i, j] = val / (p * hx * hy)
-    return out
+    return eng, eng._p0[-1] + V[-1]
+
+
+def _scan_ratios(params: ModelParams, cfg: QuadratureConfig, radii, angles,
+                 y0, t: float = 1.0) -> np.ndarray:
+    """p~/(p H H) at time t on the (radius, angle) grid around y0.
+
+    The t = 1 kernel is read at (x, y0) and mapped by exact scaling to
+    (t, lam x, lam y0) with lam = t^{1/alpha}; points at y0 are NaN.
+    """
+    eng, U = _kernel_slice(params, cfg, y0)
+    d, alpha, delta = params.d, params.alpha, params.delta
+    lam = t ** (1.0 / alpha)
+    hy = float(H_weight(t, lam * np.hypot(*y0), delta, alpha))
+    x = _polar_points(radii, angles)
+    dist = lam * np.hypot(x[..., 0] - y0[0], x[..., 1] - y0[1])
+    val = eng._value_from_grid(U, x) * t ** (-d / alpha)
+    p = kernel_t(t, dist, d, alpha)
+    hx = H_weight(t, lam * radii, delta, alpha)[:, None]
+    return np.where(dist < 1e-6 * lam, np.nan, val / (p * hx * hy))
 
 
 def bounds_scan(params: ModelParams, cfg: QuadratureConfig | None = None,
@@ -349,28 +324,10 @@ def bounds_scan(params: ModelParams, cfg: QuadratureConfig | None = None,
     y0 = (1.0, 0.0)
     base = _scan_ratios(params, cfg, radii, angles, y0)
     ratios = {1.0: base}
+    ratios.update((t, _scan_ratios(params, cfg, radii, angles, y0, t))
+                  for t in t_values if t != 1.0)
     alpha, delta = params.alpha, params.delta
-    eng = _get_engine(params, 1.0, y0, cfg)
-    V, _, _ = eng.fixed_point()
-    U = eng._p0[-1] + V[-1]
-    for t in t_values:
-        if t == 1.0:
-            continue
-        lam = t ** (1.0 / alpha)     # (t, lam x, lam y0) maps to (1, x, y0)
-        out = np.empty_like(base)
-        hy = float(H_weight(t, lam * 1.0, delta, alpha))
-        for i, r in enumerate(radii):
-            for j, a in enumerate(angles):
-                xx = (r * np.cos(a), r * np.sin(a))
-                dist = lam * np.hypot(xx[0] - y0[0], xx[1] - y0[1])
-                if dist < 1e-6 * lam:
-                    out[i, j] = np.nan
-                    continue
-                val = eng._value_from_grid(U, xx) * t ** (-params.d / alpha)
-                p = kernel_t(t, dist, params.d, alpha)
-                hx = float(H_weight(t, lam * r, delta, alpha))
-                out[i, j] = val / (p * hx * hy)
-        ratios[t] = out
+    eng, U = _kernel_slice(params, cfg, y0)
     c_lower = float(np.nanmin(base))
     c_upper = float(np.nanmax(base))
     fine = _scan_ratios(params, cfg.refined(refine_factor), radii, angles, y0)
@@ -383,7 +340,7 @@ def bounds_scan(params: ModelParams, cfg: QuadratureConfig | None = None,
     # r^{-delta} + 1 (modeled when the window can identify it, i.e. when
     # r^{-delta} varies appreciably across the window).
     fit_r = np.geomspace(2e-3, 3e-2, 6)
-    vals = np.array([eng._value_from_grid(U, (-r, 0.0)) for r in fit_r])
+    vals = eng._value_from_grid(U, np.stack([-fit_r, np.zeros_like(fit_r)], axis=-1))
     p_ray = kernel_t(1.0, 1.0 + fit_r, params.d, alpha)
     log_r, log_v = np.log(fit_r), np.log(vals / p_ray)
     span = float(log_r[-1] - log_r[0])
@@ -474,10 +431,7 @@ def continuity_scan(params: ModelParams,
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("continuity diagnostics require a finite kernel")
     cfg = cfg or QuadratureConfig()
-    y0 = (1.0, 0.0)
-    eng = _get_engine(params, 1.0, y0, cfg)
-    V, _, _ = eng.fixed_point()
-    U = eng._p0[-1] + V[-1]
+    eng, U = _kernel_slice(params, cfg, (1.0, 0.0))
     delta, alpha = params.delta, params.alpha
     r = eng.r_grid
     hy = float(H_weight(1.0, 1.0, delta, alpha))
@@ -494,5 +448,5 @@ def continuity_scan(params: ModelParams,
     fine = max_jump(norm)
     coarse = max_jump(norm[::2, ::2])
     defect = fine / max(coarse, 1e-300)
-    return _result("continuity", defect, 1.0, t0, warn_only=True,
-                   fine_jump=fine, coarse_jump=coarse)
+    return make_result("continuity", defect, 1.0, t0, warn_only=True,
+                       fine_jump=fine, coarse_jump=coarse)

@@ -318,7 +318,7 @@ def test_criterion_10_forms(report):
     e_four = energy(gauss, crit, route="fourier_side").value
     e_dir = energy(gauss, crit, route="direct_double").value
     ok = abs(e_four / target - 1) < 1e-4 and abs(e_dir / target - 1) < 1e-4
-    worst_gap, worst_id = 0.0, 0.0
+    worst_gap, worst_id = float("inf"), 0.0
     for f in load_corpus():
         h = check_hardy(f, crit)
         ok &= h.status == "pass"

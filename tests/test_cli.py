@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from hardyheat.cli import main
+from hardyheat.params import kappa_star
 
 
 @pytest.fixture()
@@ -32,11 +33,15 @@ def test_kappa_beta_and_inverse(runner):
 
 
 def test_kappa_curve_csv(runner):
-    res = runner.invoke(main, ["kappa", "--curve", "5"])
+    res = runner.invoke(main, ["kappa", "--d", "3", "--curve", "5"])
     assert res.exit_code == 0
     lines = res.output.strip().split("\n")
     assert lines[0] == "beta,kappa_beta"
     assert len(lines) == 6
+    # the curve peaks at kappa* in the middle row, beta = (d - alpha) / 2
+    mid = lines[3].split(",")
+    assert float(mid[0]) == pytest.approx(1.0)
+    assert float(mid[1]) == pytest.approx(kappa_star(3, 1.0), rel=1e-9)
 
 
 def test_kappa_requires_one_mode(runner):

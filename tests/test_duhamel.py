@@ -1,9 +1,14 @@
 """Perturbation series, fixed-point evaluator and the self-consistency residual."""
 
+import math
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
+from hardyheat import duhamel
 from hardyheat.duhamel import (
+    PlanarKernelEngine,
     QuadratureConfig,
     _get_engine,
     duhamel_residual,
@@ -13,6 +18,7 @@ from hardyheat.duhamel import (
 )
 from hardyheat.errors import DomainError
 from hardyheat.params import ModelParams, kappa_star
+from hardyheat.stable_kernel import kernel_t
 
 X, Y = (1.0, 0.0), (-1.0, 0.0)
 
@@ -93,3 +99,52 @@ def test_engine_symmetry(ref_subcritical):
 def test_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(eps0=0.0)
+
+
+def test_grid_read_across_the_axis(ref_subcritical):
+    # points a hair either side of the engine's axis read the same column;
+    # just below it the angle reduces to 2 pi and must not extrapolate
+    eng = PlanarKernelEngine(ref_subcritical, 1.0, (1.0, 0.0))
+    U = eng._p0[-1]
+    pts = np.array([(0.5, -1e-17), (0.5, 0.0), (0.5, 1e-17)])
+    vals = eng._value_from_grid(U, pts)
+    assert vals == pytest.approx(np.full(3, vals[1]), rel=1e-12)
+    # the free kernel at distance 0.5 from y, up to interpolation error
+    assert vals[1] == pytest.approx(float(kernel_t(1.0, 0.5, 2, 1.0)), rel=2e-2)
+    # an array of points reads as the point-at-a-time reference does
+    rng = np.random.default_rng(5)
+    more = np.concatenate([rng.uniform(-3.0, 3.0, (200, 2)), pts])
+    ref = [_read_one(eng, U, x) for x in more]
+    assert eng._value_from_grid(U, more) == pytest.approx(ref, rel=1e-13)
+
+
+def _read_one(eng, U, x):
+    """Reference bilinear (log r, theta) read of one point, in scalar math."""
+    r, n = eng.r_grid, eng.n_theta
+    rx = min(max(math.hypot(x[0], x[1]), r[0]), r[-1])
+    th = (math.atan2(x[1], x[0]) - eng.y_angle) % (2.0 * math.pi)
+    i = min(max(int(np.searchsorted(r, rx)) - 1, 0), len(r) - 2)
+    fr = math.log(rx / r[i]) / math.log(r[i + 1] / r[i])
+    jr = int(th / (2.0 * math.pi) * n)
+    ft = th / eng.w_theta - jr
+    cols = [jr % n, (jr + 1) % n]
+    lu = np.log(np.maximum(U[i:i + 2][:, cols], 1e-300))
+    return math.exp((1 - fr) * (1 - ft) * lu[0, 0] + (1 - fr) * ft * lu[0, 1]
+                    + fr * (1 - ft) * lu[1, 0] + fr * ft * lu[1, 1])
+
+
+def test_engine_cache_keys(ref_subcritical, monkeypatch):
+    monkeypatch.setattr(duhamel, "_ENGINE_CACHE", {})
+    cfg = QuadratureConfig()
+    eng = _get_engine(ref_subcritical, 1.0, X, cfg)
+    assert _get_engine(ref_subcritical, 1.0, X, QuadratureConfig()) is eng
+    assert _get_engine(ref_subcritical, 1.0, X, replace(cfg, n_angular=16)) is not eng
+    # above kappa* delta is NaN, so equal couplings give unequal params;
+    # the cache must still share one engine between them
+    ks = kappa_star(2, 1.0)
+    a = ModelParams.from_kappa(2, 1.0, 1.05 * ks)
+    b = ModelParams.from_kappa(2, 1.0, 1.05 * ks)
+    assert a != b
+    assert _get_engine(a, 1.0, X, cfg) is _get_engine(b, 1.0, X, cfg)
+    with pytest.raises(FrozenInstanceError):
+        cfg.n_angular = 16

@@ -9,7 +9,6 @@ from hardyheat.mc_oracle import (
     feynman_kac,
     fk_invariance_defect,
     make_rng,
-    sample_stable_path,
     stable_increments,
     subordinator_increments,
 )
@@ -43,14 +42,6 @@ def test_stable_characteristic_function():
         mean, se = ph.mean(), ph.std(ddof=1) / np.sqrt(n)
         target = np.exp(-h * np.hypot(*xi) ** alpha)
         assert mean == pytest.approx(target, abs=4.0 * se)
-
-
-def test_path_sampler_shape():
-    cfg = McConfig(n_paths=1, n_steps=16)
-    path = sample_stable_path((1.0, 0.0), 2.0, 1.0, 2, cfg, make_rng(3))
-    assert len(path) == 17
-    assert path[0][0] == 0.0 and path[-1][0] == pytest.approx(2.0)
-    assert np.allclose(path[0][1], (1.0, 0.0))
 
 
 def test_seed_determinism(ref_subcritical):

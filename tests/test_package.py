@@ -1,0 +1,85 @@
+"""Package structure: one-way module dependencies and the thread-cap contract."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PKG = Path(__file__).resolve().parents[1] / "src" / "hardyheat"
+
+
+def _import_graph():
+    """(module -> package modules it imports, modules importing click),
+    read from the source, so that import order at run time plays no part."""
+    modules = {p.stem for p in PKG.glob("*.py")}
+    graph, click_users = {}, set()
+    for path in PKG.glob("*.py"):
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    deps.add(node.module.split(".")[0])
+                else:
+                    deps.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module + "." + a.name for a in node.names]
+                if node.module.split(".")[0] == "click":
+                    click_users.add(path.stem)
+                deps.update(n.split(".")[1] for n in names
+                            if n.startswith("hardyheat."))
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "click":
+                        click_users.add(path.stem)
+                    if a.name.startswith("hardyheat."):
+                        deps.add(a.name.split(".")[1])
+        graph[path.stem] = deps & modules
+    return graph, click_users
+
+
+def test_import_graph_is_acyclic():
+    graph, _ = _import_graph()
+    done, active = set(), []
+
+    def visit(mod):
+        if mod in active:
+            pytest.fail("import cycle: " + " -> ".join(active + [mod]))
+        if mod in done:
+            return
+        active.append(mod)
+        for dep in sorted(graph[mod]):
+            visit(dep)
+        active.pop()
+        done.add(mod)
+
+    for mod in sorted(graph):
+        visit(mod)
+
+
+def test_layering():
+    graph, click_users = _import_graph()
+    # the forms layer stands beside the engines, not on top of them
+    assert not graph["forms"] & {"verifier", "duhamel", "mc_oracle"}
+    assert click_users == {"cli"}
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the thread count from /proc/self/status")
+def test_hardyheat_threads_caps_blas_threads():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "GOTO_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["HARDYHEAT_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PKG.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import hardyheat, numpy as np\n"
+            "a = np.ones((400, 400))\n"
+            "a @ a\n"
+            "status = open('/proc/self/status').read().splitlines()\n"
+            "print([l.split()[1] for l in status if l.startswith('Threads:')][0])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) == 1

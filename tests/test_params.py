@@ -12,7 +12,6 @@ from hardyheat.params import (
     classify,
     delta_of_kappa,
     kappa_curve,
-    kappa_curve_csv,
     kappa_of_beta,
     kappa_star,
 )
@@ -97,13 +96,3 @@ def test_domain_errors():
         delta_of_kappa(2, 1.0, 2.0 * kappa_star(2, 1.0))
     with pytest.raises(DomainError):
         ModelParams.from_kappa(2, 1.0, -0.1)
-
-
-def test_curve_csv_format():
-    text = kappa_curve_csv(3, 1.0, 5)
-    lines = text.strip().split("\n")
-    assert lines[0] == "beta,kappa_beta"
-    assert len(lines) == 6
-    mid = lines[3].split(",")
-    assert float(mid[0]) == pytest.approx(1.0)
-    assert float(mid[1]) == pytest.approx(kappa_star(3, 1.0), rel=1e-9)
