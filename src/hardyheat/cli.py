@@ -8,17 +8,20 @@ byte-identical bytes.  Wall-clock fields are therefore never serialized.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
 from dataclasses import asdict, is_dataclass
+from enum import Enum
+from math import isfinite
 
 import click
 import numpy as np
 
 from . import forms as forms_mod
 from .duhamel import QuadratureConfig, tilde_p
-from .errors import BudgetExceededError, DomainError, HardyHeatError
+from .errors import DomainError, HardyHeatError
 from .mc_oracle import McConfig, feynman_kac, fk_invariance_defect
 from .params import (ModelParams, delta_of_kappa, kappa_curve, kappa_of_beta,
                      kappa_star)
@@ -40,9 +43,12 @@ EXIT_BUDGET = 3
 
 def _clean(obj):
     """Recursively convert to plain JSON types, rounding floats to 17
-    significant digits and dropping wall-clock fields."""
+    significant digits, writing enums as their values and dropping
+    wall-clock fields."""
     if is_dataclass(obj) and not isinstance(obj, type):
         obj = asdict(obj)
+    if isinstance(obj, Enum):
+        return obj.value
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items() if k != "runtime"}
     if isinstance(obj, (list, tuple)):
@@ -56,37 +62,29 @@ def _clean(obj):
     return obj
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
+def _json(payload) -> str:
     doc = {"schema": 1}
     doc.update(_clean(payload))
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    _write(text, output)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _emit_csv(header: list, rows: list, output: str | None) -> None:
+def _csv(header: list, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
             f"{v:.10g}" if isinstance(v, (float, np.floating)) else str(v)
             for v in row))
-    _write("\n".join(lines) + "\n", output)
+    return "\n".join(lines) + "\n"
 
 
-def _write(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _parse_point(value: str) -> tuple:
+def _parse_point(value: str, d: int) -> tuple:
     try:
         parts = tuple(float(v) for v in value.split(","))
     except ValueError:
         raise click.UsageError(f"cannot parse point {value!r}")
-    if len(parts) not in (2, 3):
-        raise click.UsageError(f"points must have 2 or 3 coordinates: {value!r}")
+    if len(parts) != d or not all(isfinite(v) for v in parts):
+        raise click.UsageError(
+            f"points must have {d} finite coordinates: {value!r}")
     return parts
 
 
@@ -99,24 +97,13 @@ def _parse_kappa(d: int, alpha: float, kappa: str | None,
     ks = kappa_star(d, alpha)
     if kappa == "critical":
         return ModelParams.from_kappa(d, alpha, ks)
-    for tag in ("supercritical", "subcritical"):
-        if kappa.startswith(tag + ":"):
-            factor = float(kappa.split(":", 1)[1])
-            return ModelParams.from_kappa(d, alpha, factor * ks)
-    return ModelParams.from_kappa(d, alpha, float(kappa))
-
-
-class Budget:
-    """Cooperative wall-clock budget shared by suite loops."""
-
-    def __init__(self, seconds: float | None):
-        self.seconds = seconds
-        self.start = time.time()
-
-    def check(self) -> None:
-        if self.seconds is not None and time.time() - self.start > self.seconds:
-            raise BudgetExceededError(
-                f"budget of {self.seconds:.0f}s exceeded")
+    tag, _, number = kappa.rpartition(":")
+    scale = {"": 1.0, "subcritical": ks, "supercritical": ks}.get(tag)
+    try:
+        value = scale * float(number)
+    except (TypeError, ValueError):     # an unknown tag, or not a number
+        raise click.UsageError(f"cannot parse coupling {kappa!r}")
+    return ModelParams.from_kappa(d, alpha, value)
 
 
 def _model_options(fn):
@@ -137,14 +124,9 @@ def _coupling_options(fn):
     return fn
 
 
-def _output_options(fn):
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-                      default="json", show_default=True)(fn)
-    fn = click.option("--output", type=click.Path(dir_okay=False),
-                      default=None, help="write to a file instead of stdout")(fn)
-    fn = click.option("--budget", type=float, default=None,
-                      help="abort with exit 3 after this many seconds")(fn)
-    return fn
+_budget_option = click.option(
+    "--budget", type=float, default=None,
+    help="seconds after which the partial result is written with exit 3")
 
 
 @click.group()
@@ -153,46 +135,59 @@ def main():
     potential: construction and verification suites."""
 
 
-def _run(fn):
-    """Run a command body with the exit-code contract applied."""
-    try:
-        code = fn()
-    except (click.UsageError, DomainError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-    except BudgetExceededError as exc:
-        click.echo(f"budget: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
-    except HardyHeatError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_FAIL)
-    sys.exit(code)
+def _command(body):
+    """Register body, which returns (text, exit code), as a subcommand with
+    the model options and --output.  The command writes the text to stdout
+    or --output and exits with the code.  Errors become exit codes here
+    only: 2 for a usage or domain error or an unwritable --output, 1 for any
+    other library error."""
+    @functools.wraps(body)
+    def run(output, **kwargs):
+        try:
+            text, code = body(**kwargs)
+        except (click.UsageError, DomainError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
+        except HardyHeatError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_FAIL)
+        try:
+            with click.open_file(output or "-", "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
+        sys.exit(code)
+
+    run = click.option("--output", type=click.Path(dir_okay=False),
+                       default=None,
+                       help="write to a file instead of stdout")(run)
+    return main.command()(_model_options(run))
 
 
-def _run_checks(payload: dict, checks, budget: float | None,
-                output: str | None) -> int:
-    """Collect the CheckResults that checks yields into payload["results"],
-    checking the budget after each one, then emit the payload with its
-    overall status.  On an exceeded budget the partial payload is emitted
-    before the error propagates."""
-    bud = Budget(budget)
+def _run_checks(payload: dict, checks, budget: float | None) -> tuple:
+    """Collect the CheckResults that the iterator checks yields into
+    payload["results"] and render the payload with its overall status.
+
+    The budget is checked before each check is pulled and once after the
+    last; once it is spent the partial payload is rendered with status
+    "budget_exceeded" and exit code 3.
+    """
+    start = time.monotonic()
     results = payload["results"] = []
-    try:
-        for res in checks:
-            results.append(res)
-            bud.check()
-    except BudgetExceededError:
-        payload["status"] = "budget_exceeded"
-        _emit_json(payload, output)
-        raise
-    ok = all(r.status == "pass" for r in results)
-    payload["status"] = "pass" if ok else "fail"
-    _emit_json(payload, output)
-    return EXIT_PASS if ok else EXIT_FAIL
+    while budget is None or time.monotonic() - start < budget:
+        res = next(checks, None)
+        if res is None:
+            ok = all(r.status == "pass" for r in results)
+            payload["status"] = "pass" if ok else "fail"
+            return _json(payload), EXIT_PASS if ok else EXIT_FAIL
+        results.append(res)
+    click.echo(f"budget: budget of {budget:g}s exceeded", err=True)
+    payload["status"] = "budget_exceeded"
+    return _json(payload), EXIT_BUDGET
 
 
-@main.command()
-@_model_options
+@_command
 @click.option("--beta", type=float, default=None,
               help="weight exponent: print the matching coupling")
 @click.option("--kappa", type=float, default=None,
@@ -201,72 +196,50 @@ def _run_checks(payload: dict, checks, budget: float | None,
               help="print the critical coupling")
 @click.option("--curve", type=int, default=None,
               help="emit an N-row CSV of the coupling curve")
-@_output_options
-def kappa(d, alpha, beta, kappa, star, curve, fmt, output, budget):
+def kappa(d, alpha, beta, kappa, star, curve):
     """The coupling curve beta -> kappa(beta) and its inverse."""
-    def body():
-        chosen = sum(v is not None and v is not False
-                     for v in (beta, kappa, curve)) + int(star)
-        if chosen != 1:
-            raise click.UsageError(
-                "choose exactly one of --beta / --kappa / --kappa-star / --curve")
-        if star:
-            click.echo(f"{kappa_star(d, alpha):.10g}")
-        elif beta is not None:
-            click.echo(f"{kappa_of_beta(d, alpha, beta):.10g}")
-        elif kappa is not None:
-            click.echo(f"{delta_of_kappa(d, alpha, kappa):.10g}")
-        else:
-            rows = kappa_curve(d, alpha, curve)
-            _emit_csv(["beta", "kappa_beta"],
-                      [tuple(row) for row in rows], output)
-        return EXIT_PASS
-    _run(body)
+    chosen = sum(v is not None for v in (beta, kappa, curve)) + int(star)
+    if chosen != 1:
+        raise click.UsageError(
+            "choose exactly one of --beta / --kappa / --kappa-star / --curve")
+    if star:
+        value = kappa_star(d, alpha)
+    elif beta is not None:
+        value = kappa_of_beta(d, alpha, beta)
+    elif kappa is not None:
+        value = delta_of_kappa(d, alpha, kappa)
+    else:
+        rows = kappa_curve(d, alpha, curve)
+        return _csv(["beta", "kappa_beta"], rows), EXIT_PASS
+    return f"{value:.10g}\n", EXIT_PASS
 
 
-@main.command()
-@_model_options
+@_command
 @click.option("--t", type=float, required=True)
 @click.option("--x", type=str, required=True, help="point, e.g. 1,0")
 @click.option("--y", type=str, required=True)
-@_output_options
-def kernel(d, alpha, t, x, y, fmt, output, budget):
+def kernel(d, alpha, t, x, y):
     """Evaluate the free stable kernel p(t, x, y)."""
-    def body():
-        xp = np.asarray(_parse_point(x))
-        yp = np.asarray(_parse_point(y))
-        kv = free_kernel(t, xp - yp, d, alpha)
-        _emit_json({"value": kv.value, "abs_error": kv.abs_error,
-                    "method": kv.method.value}, output)
-        return EXIT_PASS
-    _run(body)
+    z = np.subtract(_parse_point(x, d), _parse_point(y, d))
+    return _json(free_kernel(t, z, d, alpha)), EXIT_PASS
 
 
-@main.command()
-@_model_options
+@_command
 @_coupling_options
 @click.option("--t", type=float, required=True)
 @click.option("--x", type=str, required=True)
 @click.option("--y", type=str, required=True)
 @click.option("--rel-tol", type=float, default=1e-3, show_default=True)
 @click.option("--max-terms", type=int, default=60, show_default=True)
-@_output_options
-def series(d, alpha, kappa, delta, t, x, y, rel_tol, max_terms, fmt,
-           output, budget):
+def series(d, alpha, kappa, delta, t, x, y, rel_tol, max_terms):
     """Evaluate the perturbed kernel by its perturbation series."""
-    def body():
-        params = _parse_kappa(d, alpha, kappa, delta)
-        cfg = QuadratureConfig(rel_tol=rel_tol, max_terms=max_terms)
-        state = tilde_p(t, _parse_point(x), _parse_point(y), params, cfg)
-        _emit_json({"value": state.value, "terms": list(state.terms),
-                    "tail_bound": state.tail_bound,
-                    "converged": state.converged}, output)
-        return EXIT_PASS
-    _run(body)
+    params = _parse_kappa(d, alpha, kappa, delta)
+    cfg = QuadratureConfig(rel_tol=rel_tol, max_terms=max_terms)
+    state = tilde_p(t, _parse_point(x, d), _parse_point(y, d), params, cfg)
+    return _json({**asdict(state), "value": state.value}), EXIT_PASS
 
 
-@main.command()
-@_model_options
+@_command
 @_coupling_options
 @click.option("--t", type=float, required=True)
 @click.option("--x", type=str, required=True)
@@ -275,23 +248,15 @@ def series(d, alpha, kappa, delta, t, x, y, rel_tol, max_terms, fmt,
 @click.option("--paths", type=int, default=10000, show_default=True)
 @click.option("--steps", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=12345, show_default=True)
-@_output_options
-def mc(d, alpha, kappa, delta, t, x, beta, paths, steps, seed, fmt,
-       output, budget):
+def mc(d, alpha, kappa, delta, t, x, beta, paths, steps, seed):
     """Monte Carlo estimate of the weighted kernel integral."""
-    def body():
-        params = _parse_kappa(d, alpha, kappa, delta)
-        cfg = McConfig(n_paths=paths, n_steps=steps, seed=seed)
-        est = feynman_kac(_parse_point(x), t, beta, params, cfg)
-        _emit_json({"mean": est.mean, "std_error": est.std_error,
-                    "ess": est.ess, "capped_fraction": est.capped_fraction,
-                    "seed": seed}, output)
-        return EXIT_PASS
-    _run(body)
+    params = _parse_kappa(d, alpha, kappa, delta)
+    cfg = McConfig(n_paths=paths, n_steps=steps, seed=seed)
+    est = feynman_kac(_parse_point(x, d), t, beta, params, cfg)
+    return _json({**asdict(est), "seed": seed}), EXIT_PASS
 
 
-@main.command()
-@_model_options
+@_command
 @_coupling_options
 @click.option("--suite",
               type=click.Choice(["invariance", "supermedian", "chapman",
@@ -299,95 +264,87 @@ def mc(d, alpha, kappa, delta, t, x, beta, paths, steps, seed, fmt,
               required=True)
 @click.option("--paths", type=int, default=100000, show_default=True)
 @click.option("--seed", type=int, default=12345, show_default=True)
-@_output_options
-def verify(d, alpha, kappa, delta, suite, paths, seed, fmt, output, budget):
+@_budget_option
+def verify(d, alpha, kappa, delta, suite, paths, seed, budget):
     """Run an identity/bound verification suite."""
-    def body():
-        params = _parse_kappa(d, alpha, kappa, delta)
-        payload = {"suite": suite}
-        if suite == "blowup":
-            report = blowup_probe(1.0, (1.0, 0.0), (-1.0, 0.0), params)
-            ok = report.diverged if params.kappa > kappa_star(d, alpha) \
-                else report.converged
-            payload.update(results=[], report=report,
-                           status="pass" if ok else "fail")
-            _emit_json(payload, output)
-            return EXIT_PASS if ok else EXIT_FAIL
+    params = _parse_kappa(d, alpha, kappa, delta)
+    e1 = np.eye(1, d)[0]
+    payload = {"suite": suite}
+    if suite == "blowup":
+        report = blowup_probe(1.0, e1, -e1, params)
+        ok = report.diverged if params.is_supercritical else report.converged
+        payload.update(results=[], report=report,
+                       status="pass" if ok else "fail")
+        return _json(payload), EXIT_PASS if ok else EXIT_FAIL
 
-        def checks():
-            if suite in ("invariance", "all"):
-                beta = 0.25 * params.delta
-                yield check_invariance(beta, 1.0, (1.0, 0.0), params)
-                t0 = time.time()
-                est = fk_invariance_defect((1.0, 0.0), 1.0, beta, params,
-                                           McConfig(n_paths=paths, seed=seed))
-                yield make_result("invariance_mc", abs(est.mean),
-                                  3.0 * est.std_error, t0, mean=est.mean,
-                                  std_error=est.std_error)
-            if suite in ("supermedian", "all"):
-                for t, rx in ((1.0, 1.0), (1.0, 0.1), (4.0, 1.0)):
-                    yield check_supermedian(t, (rx, 0.0), params)
-                yield check_H_supermedian(1.0, (1.0, 0.0), params)
-            if suite in ("chapman", "all"):
-                yield check_chapman_kolmogorov(0.5, 0.5, (1.0, 0.0),
-                                               (0.0, 1.0), params)
+    def checks():
+        if suite in ("invariance", "all"):
+            beta = 0.25 * params.delta
+            yield check_invariance(beta, 1.0, e1, params)
+            t0 = time.time()
+            est = fk_invariance_defect(e1, 1.0, beta, params,
+                                       McConfig(n_paths=paths, seed=seed))
+            yield make_result("invariance_mc", abs(est.mean),
+                              3.0 * est.std_error, t0, mean=est.mean,
+                              std_error=est.std_error)
+        if suite in ("supermedian", "all"):
+            for t, rx in ((1.0, 1.0), (1.0, 0.1), (4.0, 1.0)):
+                yield check_supermedian(t, rx * e1, params)
+            yield check_H_supermedian(1.0, e1, params)
+        if suite in ("chapman", "all"):
+            yield check_chapman_kolmogorov(0.5, 0.5, (1.0, 0.0),
+                                           (0.0, 1.0), params)
 
-        return _run_checks(payload, checks(), budget, output)
-    _run(body)
+    return _run_checks(payload, checks(), budget)
 
 
-@main.command()
-@_model_options
+@_command
 @_coupling_options
 @click.option("--refine", type=float, default=1.25, show_default=True,
               help="grid refinement factor for the drift estimate")
-@_output_options
-def bounds(d, alpha, kappa, delta, refine, fmt, output, budget):
+@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
+              default="json", show_default=True)
+def bounds(d, alpha, kappa, delta, refine, fmt):
     """Two-sided estimate scan: comparability constants and origin slope."""
-    def body():
-        params = _parse_kappa(d, alpha, kappa, delta)
-        report = bounds_scan(params, refine_factor=refine)
-        cont = continuity_scan(params)
-        if fmt == "csv":
-            rows = []
-            for t in sorted(report.ratios):
-                grid = report.ratios[t]
-                for j, r in enumerate(report.radii):
-                    for k, a in enumerate(report.angles):
-                        rows.append((t, r, a, float(grid[j][k])))
-            _emit_csv(["t", "radius", "angle", "ratio"], rows, output)
-        else:
-            _emit_json({"bounds": report, "continuity": cont}, output)
-        ok = (report.refinement_drift < 0.10
-              and abs(report.slope - report.slope_target) <= 0.02)
-        return EXIT_PASS if ok else EXIT_FAIL
-    _run(body)
+    params = _parse_kappa(d, alpha, kappa, delta)
+    report = bounds_scan(params, refine_factor=refine)
+    cont = continuity_scan(params)
+    if fmt == "csv":
+        rows = []
+        for t in sorted(report.ratios):
+            grid = report.ratios[t]
+            for j, r in enumerate(report.radii):
+                for k, a in enumerate(report.angles):
+                    rows.append((t, r, a, float(grid[j][k])))
+        text = _csv(["t", "radius", "angle", "ratio"], rows)
+    else:
+        text = _json({"bounds": report, "continuity": cont})
+    ok = (report.refinement_drift < 0.10
+          and abs(report.slope - report.slope_target) <= 0.02)
+    return text, EXIT_PASS if ok else EXIT_FAIL
 
 
-@main.command()
-@_model_options
+@_command
 @_coupling_options
-@_output_options
-def form(d, alpha, kappa, delta, fmt, output, budget):
+@_budget_option
+def form(d, alpha, kappa, delta, budget):
     """Dirichlet-form suite: Hardy inequality and the form identity on the
     test-function corpus, plus the near-optimizer family."""
-    def body():
-        params = _parse_kappa(d, alpha, kappa, delta)
-        payload = {}
+    params = _parse_kappa(d, alpha, kappa, delta)
+    payload = {}
 
-        def checks():
-            for tf in forms_mod.load_corpus(d, alpha):
-                yield forms_mod.check_hardy(tf, params)
-                yield forms_mod.check_form_identity(tf, params)
-            t0 = time.time()
-            gaps = forms_mod.near_optimizer_gaps([2, 4, 8], params)
-            payload["near_optimizer_gaps"] = gaps
-            decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
-            yield make_result("near_optimizer_gap_decreasing",
-                              0.0 if decreasing else 1.0, 0.0, t0, gaps=gaps)
+    def checks():
+        for tf in forms_mod.load_corpus(d, alpha):
+            yield forms_mod.check_hardy(tf, params)
+            yield forms_mod.check_form_identity(tf, params)
+        t0 = time.time()
+        gaps = forms_mod.near_optimizer_gaps([2, 4, 8], params)
+        payload["near_optimizer_gaps"] = gaps
+        decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
+        yield make_result("near_optimizer_gap_decreasing",
+                          0.0 if decreasing else 1.0, 0.0, t0, gaps=gaps)
 
-        return _run_checks(payload, checks(), budget, output)
-    _run(body)
+    return _run_checks(payload, checks(), budget)
 
 
 if __name__ == "__main__":

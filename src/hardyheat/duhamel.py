@@ -371,18 +371,17 @@ class PlanarKernelEngine:
         out += (lam * (1.0 - scale * mass))[:, None] * G
         return out
 
-    def _ring_in(self, s: float, G0: np.ndarray, q: float) -> np.ndarray:
+    def _ring_in(self, s: float, radius, G0_int: float, q: float):
         """Inner-disc contribution of int p(s, z, w) G(w) dw.
 
-        G0 is G on the first radial circle; G is continued inward as the
-        power law G0(theta) (a / r_0)^{-q}, and the kernel is frozen at its
-        value at distance |z|.
+        G is continued inside the first radial circle r_0 as the power law
+        G(r_0, theta) (a / r_0)^{-q}, whose angular integral on that circle
+        is G0_int, and the kernel is frozen at its value at distance radius
+        (|z|, or |y| when the disc is integrated against p(s, ., y)).
         """
         expo = 2.0 - q
-        r0 = self.r_grid[0]
-        radial = self.r_min ** expo / expo * r0 ** q
-        angsum = self.w_theta * float(np.sum(G0))
-        return kernel_t(s, self.r_grid, 2, self.params.alpha)[:, None] * (radial * angsum)
+        radial = self.r_min ** expo / expo * self.r_grid[0] ** q
+        return kernel_t(s, radius, 2, self.params.alpha) * (radial * G0_int)
 
     # -- first perturbation term --------------------------------------------
 
@@ -402,7 +401,9 @@ class PlanarKernelEngine:
                 if s <= sp:
                     # outer kernel peaked at z: subtract around z
                     G = self.r_grid[:, None] ** (-alpha) * self._free_at_y(sp)
-                    I = self._convolve(s, G) + self._ring_in(s, G[0], alpha)
+                    G0_int = self.w_theta * float(np.sum(G[0]))
+                    ring = self._ring_in(s, self.r_grid, G0_int, alpha)
+                    I = self._convolve(s, G) + ring[:, None]
                 else:
                     # free factor peaked at y: subtract around y
                     py = self._free_at_y(sp)
@@ -412,10 +413,10 @@ class PlanarKernelEngine:
                     I = self._apply(khat, scaleY * py * self.r_grid[:, None] ** (-alpha))
                     fy = kernel_t(s, self.dist_y, 2, alpha) * ry ** (-alpha)
                     I += lamY * (1.0 - scaleY * massY) * fy
-                    # inner disc of the w-integral (|w|^{-alpha} singular ring)
-                    I += (kernel_t(sp, ry, 2, alpha)
-                          * kernel_t(s, self.r_grid, 2, alpha)[:, None]
-                          * 2.0 * pi * self.r_min ** (2.0 - alpha) / (2.0 - alpha))
+                    # inner disc of the w-integral (|w|^{-alpha} singular
+                    # ring), with p(sp, w, y) frozen at p(sp, |y|)
+                    G0_int = 2.0 * pi * self.r_grid[0] ** (-alpha) * kernel_t(sp, ry, 2, alpha)
+                    I += self._ring_in(s, self.r_grid, G0_int, alpha)[:, None]
                 acc += wv * I
             out[k] = kappa * tk * acc
         self._p1 = out
@@ -445,7 +446,9 @@ class PlanarKernelEngine:
             for v, wv in zip(self.v_nodes_lean, self.v_weights_lean):
                 s = max(tk * v, 1e-300)
                 G = rinv * self._interp_time(V, tk * (1.0 - v))
-                acc += wv * (self._convolve(s, G) + self._ring_in(s, G[0], alpha + self._slope_in))
+                G0_int = self.w_theta * float(np.sum(G[0]))
+                ring = self._ring_in(s, self.r_grid, G0_int, alpha + self._slope_in)
+                acc += wv * (self._convolve(s, G) + ring[:, None])
             out[k] = kappa * tk * acc
         return out
 
@@ -601,8 +604,8 @@ def tilde_p(t: float, x, y, params: ModelParams,
     """
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("tilde_p requires a subcritical or critical coupling")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     x, y = _as_point(x), _as_point(y)
     cfg = cfg or QuadratureConfig()
     d, alpha, kappa = params.d, params.alpha, params.kappa
@@ -697,10 +700,7 @@ def duhamel_residual(t: float, x, y, p_tilde_eval, params: ModelParams) -> float
         I += lam_y * (1.0 - scale * mass) * g_y
         # inner disc: continue V |z|^{-alpha} inward as a power law, kernel
         # frozen at distance |y|
-        G0 = G[0]
-        I += (kernel_t(sp, ry, 2, alpha)
-              * r[0] ** q_in * eng.r_min ** (2.0 - q_in) / (2.0 - q_in)
-              * eng.w_theta * float(np.sum(G0)))
+        I += eng._ring_in(sp, ry, eng.w_theta * float(np.sum(G[0])), q_in)
         acc += wv * I
     J = kappa * t * acc
     return abs(v_xy - p1_xy - J) / ptilde

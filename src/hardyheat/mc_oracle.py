@@ -157,15 +157,33 @@ def _run_paths(x, t: float, params: ModelParams, cfg: McConfig,
     return X, A, ti
 
 
+def _capped_payoff(X: np.ndarray, A: np.ndarray, beta: float,
+                   params: ModelParams, cfg: McConfig) -> tuple:
+    """(exp(kappa A)|X|^{-beta} with the weight truncated at weight_cap,
+    the mask of capped paths)."""
+    log_cap = log(cfg.weight_cap)
+    expo = params.kappa * A
+    r = np.maximum(np.sqrt(np.sum(X * X, axis=1)), 1e-300)
+    return np.exp(np.minimum(expo, log_cap)) * r ** -beta, expo > log_cap
+
+
 def _estimate(values: np.ndarray, capped: np.ndarray) -> McEstimate:
+    """Mean, standard error and ESS of values; a capped fraction above 1%
+    raises a reliability error."""
     n = len(values)
     mean = float(np.mean(values))
     std_error = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     w = np.abs(values)
     denom = float(np.sum(w * w))
     ess = float(np.sum(w)) ** 2 / denom if denom > 0.0 else float(n)
-    return McEstimate(mean=mean, std_error=std_error, ess=ess,
-                      capped_fraction=float(np.mean(capped)))
+    est = McEstimate(mean=mean, std_error=std_error, ess=ess,
+                     capped_fraction=float(np.mean(capped)))
+    if est.capped_fraction > 0.01:
+        raise ReliabilityError(
+            f"capped_fraction {est.capped_fraction:.3f} exceeds 1%; "
+            "the estimate is biased low"
+        )
+    return est
 
 
 def feynman_kac(x, t: float, beta: float, params: ModelParams,
@@ -177,18 +195,7 @@ def feynman_kac(x, t: float, beta: float, params: ModelParams,
     """
     _check_fk_args(x, t, beta, params)
     X, A, _ = _run_paths(x, t, params, cfg)
-    log_cap = log(cfg.weight_cap)
-    expo = params.kappa * A
-    capped = expo > log_cap
-    r = np.maximum(np.sqrt(np.sum(X * X, axis=1)), 1e-300)
-    values = np.exp(np.minimum(expo, log_cap)) * r ** -beta
-    est = _estimate(values, capped)
-    if est.capped_fraction > 0.01:
-        raise ReliabilityError(
-            f"capped_fraction {est.capped_fraction:.3f} exceeds 1%; "
-            "the estimate is biased low"
-        )
-    return est
+    return _estimate(*_capped_payoff(X, A, beta, params, cfg))
 
 
 def fk_invariance_defect(x, t: float, beta: float, params: ModelParams,
@@ -207,27 +214,16 @@ def fk_invariance_defect(x, t: float, beta: float, params: ModelParams,
     kb = kappa_of_beta(d, alpha, beta)
     X, A, ti = _run_paths(x, t, params, cfg,
                           record_weight_exponent=beta + alpha)
-    log_cap = log(cfg.weight_cap)
-    expo = params.kappa * A
-    capped = expo > log_cap
-    r = np.maximum(np.sqrt(np.sum(X * X, axis=1)), 1e-300)
-    lhs = np.exp(np.minimum(expo, log_cap)) * r ** -beta
+    lhs, capped = _capped_payoff(X, A, beta, params, cfg)
     rx = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    values = lhs - rx ** -beta - (params.kappa - kb) * ti
-    est = _estimate(values, capped)
-    if est.capped_fraction > 0.01:
-        raise ReliabilityError(
-            f"capped_fraction {est.capped_fraction:.3f} exceeds 1%; "
-            "the estimate is biased low"
-        )
-    return est
+    return _estimate(lhs - rx ** -beta - (params.kappa - kb) * ti, capped)
 
 
 def _check_fk_args(x, t: float, beta: float, params: ModelParams) -> None:
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("Feynman-Kac weights diverge for supercritical couplings")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     if not (0.0 <= beta < params.d - params.alpha):
         raise DomainError(f"beta must lie in [0, d - alpha), got {beta}")
     rx = float(np.linalg.norm(np.asarray(x, dtype=float)))

@@ -67,7 +67,7 @@ def delta_of_kappa(d: int, alpha: float, kappa: float) -> float:
     """
     _check_alpha(d, alpha)
     ks = kappa_star(d, alpha)
-    if kappa < 0.0:
+    if not kappa >= 0.0:
         raise DomainError(f"kappa must be nonnegative, got {kappa}")
     if kappa > ks * (1.0 + CRITICAL_REL_TOL):
         raise DomainError(

@@ -260,8 +260,8 @@ def kernel_t(t, r, d: int, alpha: float, exact: bool = False):
 
 def free_kernel(t: float, x, d: int, alpha: float) -> KernelValue:
     """The free heat kernel p_t(x) with provenance and error estimate."""
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     r = float(np.linalg.norm(x)) if np.ndim(x) else float(abs(x))
     if is_cauchy(alpha):
         val = float(t ** (-d) * cauchy_unit_density(r / t, d))

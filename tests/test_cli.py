@@ -4,6 +4,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hardyheat.cli import main
 from hardyheat.params import kappa_star
@@ -146,3 +148,142 @@ def test_budget_exceeded(runner):
     res = runner.invoke(main, ["verify", "--suite", "supermedian",
                                "--kappa", "0.1", "--budget", "0.0"])
     assert res.exit_code == 3
+    # the budget is checked before the first check runs
+    doc = json.loads(res.stdout)
+    assert doc["status"] == "budget_exceeded"
+    assert doc["results"] == []
+
+
+def test_removed_options_rejected(runner):
+    res = runner.invoke(main, ["kernel", "--t", "1", "--x", "1,0",
+                               "--y", "-1,0", "--format", "csv"])
+    assert res.exit_code == 2
+    assert "No such option" in res.output
+    res = runner.invoke(main, ["kappa", "--kappa-star", "--budget", "1"])
+    assert res.exit_code == 2
+
+
+def test_kappa_scalar_output_file(runner, tmp_path):
+    out = tmp_path / "kappa.txt"
+    res = runner.invoke(main, ["kappa", "--kappa-star", "--output", str(out)])
+    assert res.exit_code == 0
+    assert res.stdout == ""
+    assert float(out.read_text()) == pytest.approx(kappa_star(2, 1.0),
+                                                   rel=1e-9)
+
+
+def test_unwritable_output(runner, tmp_path):
+    res = runner.invoke(main, ["kernel", "--t", "1", "--x", "1,0",
+                               "--y", "-1,0", "--output",
+                               str(tmp_path / "missing" / "f.json")])
+    assert res.exit_code == 2
+    assert not isinstance(res.exception, FileNotFoundError)
+
+
+@pytest.mark.parametrize("args", [
+    # points must have d coordinates
+    ["kernel", "--t", "1", "--x", "1,0,0", "--y", "1,0"],
+    ["mc", "--d", "3", "--kappa", "0.1", "--t", "1", "--x", "1,0",
+     "--beta", "0.5"],
+    # unparsable couplings
+    ["series", "--kappa", "abc", "--t", "1", "--x", "1,0", "--y", "-1,0"],
+    ["series", "--kappa", "subcritical:x", "--t", "1", "--x", "1,0",
+     "--y", "-1,0"],
+    # non-finite times
+    ["kernel", "--t", "nan", "--x", "1,0", "--y", "-1,0"],
+    ["mc", "--kappa", "0.1", "--t", "nan", "--x", "1,0", "--beta", "0.5"],
+    ["series", "--kappa", "0", "--t", "inf", "--x", "1,0", "--y", "-1,0"],
+    # the Chapman-Kolmogorov reference is planar
+    ["verify", "--suite", "chapman", "--kappa", "0", "--d", "3"],
+    ["kappa", "--kappa", "nan"],
+])
+def test_bad_input_exits_2(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.slow
+def test_verify_invariance_in_three_dimensions(runner):
+    res = runner.invoke(main, ["verify", "--suite", "invariance", "--d", "3",
+                               "--kappa", "0.1", "--paths", "2000"])
+    # the points carry d coordinates (they were planar and failed to reshape)
+    assert res.exit_code == 0
+    doc = json.loads(res.stdout)
+    assert [r["name"] for r in doc["results"]] == ["invariance",
+                                                   "invariance_mc"]
+
+
+_COUPLINGS = ["0", "0.1", "critical", "supercritical:1.5", "subcritical:x",
+              "abc"]
+# couplings that build no engine in series at d = 2
+_SERIES_COUPLINGS_2D = ["0", "supercritical:1.5", "subcritical:x", "abc"]
+
+
+def _pick(draw, good: list, bad: list) -> str:
+    """A value from good, or from bad one time in four."""
+    return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0 else good))
+
+
+def _time(draw) -> str:
+    return _pick(draw, ["1", "2.5"], ["-1", "0", "nan", "inf"])
+
+
+def _point(draw, d: int) -> str:
+    """A point with d coordinates, or one with the wrong number, or junk."""
+    n = d if draw(st.integers(0, 3)) else draw(st.integers(1, 5))
+    coords = draw(st.lists(st.sampled_from(["1", "-0.5", "0", "2"]),
+                           min_size=n, max_size=n))
+    return _pick(draw, [",".join(coords)], ["nan,0", "inf,1", "nope", "",
+                                            "1,,0"])
+
+
+@st.composite
+def _argv(draw):
+    """A CLI argument vector whose run builds no engine."""
+    d = draw(st.integers(1, 4))
+    cmd = draw(st.sampled_from(["kappa", "kernel", "mc", "series",
+                                "verify"]))
+    if cmd == "kappa":
+        mode = draw(st.sampled_from([
+            ["--kappa-star"],
+            ["--beta", _pick(draw, ["0.5"], ["-1", "nan", "1"])],
+            ["--kappa", _pick(draw, ["0.1"], _COUPLINGS + ["nan"])],
+            ["--curve", str(draw(st.integers(-1, 200)))],
+            [],
+        ]))
+        argv = ["kappa"] + mode + _pick(draw, [[]], [["--budget", "1"]])
+    elif cmd == "kernel":
+        argv = (["kernel", "--t", _time(draw), "--x", _point(draw, d),
+                 "--y", _point(draw, d)]
+                + _pick(draw, [[]], [["--format", "csv"]]))
+    elif cmd == "mc":
+        argv = ["mc", "--kappa", _pick(draw, ["0", "0.1", "critical"],
+                                       _COUPLINGS[3:]),
+                "--t", _time(draw), "--x", _point(draw, d),
+                "--beta", _pick(draw, ["0.5", "0"], ["-1"]),
+                "--paths", str(draw(st.integers(1, 50))),
+                "--steps", str(draw(st.integers(1, 3)))]
+    elif cmd == "series":
+        couplings = _SERIES_COUPLINGS_2D if d == 2 else _COUPLINGS
+        argv = ["series", "--kappa", _pick(draw, ["0"], couplings[1:]),
+                "--t", _time(draw), "--x", _point(draw, d),
+                "--y", _point(draw, d)]
+    else:
+        argv = ["verify", "--suite", "blowup", "--kappa", "critical"]
+    output = _pick(draw, [[], ["--output", "out"]],
+                   [["--output", "missing/out"]])
+    return argv + ["--d", str(d)] + output
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_cli_never_tracebacks(runner, tmp_path, argv):
+    """Every exit code is in {0, 1, 2, 3}, and no run ends in a traceback."""
+    if "--output" in argv:
+        argv[-1] = str(tmp_path / argv[-1])
+    res = runner.invoke(main, argv)
+    assert res.exit_code in (0, 1, 2, 3), (argv, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        (argv, res.exception)

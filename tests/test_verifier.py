@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hardyheat.duhamel import RadialWeightedEngine
 from hardyheat.errors import DomainError
 from hardyheat.params import ModelParams, kappa_star
 from hardyheat.verifier import (
@@ -30,6 +31,11 @@ def test_chapman_kolmogorov_free(ref_free):
     res = check_chapman_kolmogorov(0.5, 0.5, (1.0, 0.0), (0.0, 1.0), ref_free)
     assert res.status == "pass"
     assert res.defect < 1e-6
+    # the free-kernel reference is a planar quadrature: other dimensions are
+    # refused rather than reported as a false failure
+    with pytest.raises(DomainError):
+        check_chapman_kolmogorov(0.5, 0.5, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                 ModelParams.from_kappa(3, 1.0, 0.0))
 
 
 @pytest.mark.slow
@@ -52,11 +58,24 @@ def test_supermedian_rejects_supercritical():
         check_supermedian(1.0, (1.0, 0.0), p)
 
 
-def test_H_supermedian(ref_subcritical):
+def test_H_supermedian(ref_subcritical, monkeypatch):
     res = check_H_supermedian(1.0, (1.0, 0.0), ref_subcritical)
     assert res.status == "pass"
     assert np.isfinite(res.details["empirical_M"])
     assert res.details["grid_min"] > 0.0
+    # a beta = delta profile 5% low pulls the ratio below 1 near the origin,
+    # where H is dominated by |x|^{-delta}; the check must see it
+    delta = ref_subcritical.delta
+    evaluator = RadialWeightedEngine.evaluator
+
+    def low_evaluator(self):
+        F = evaluator(self)
+        return (lambda t, r: 0.95 * F(t, r)) if self.beta == delta else F
+
+    monkeypatch.setattr(RadialWeightedEngine, "evaluator", low_evaluator)
+    res = check_H_supermedian(1.0, (1.0, 0.0), ref_subcritical)
+    assert res.status == "fail"
+    assert res.defect > res.tolerance
 
 
 def test_invariance_with_coupling_correction(ref_subcritical):
