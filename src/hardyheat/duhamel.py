@@ -315,9 +315,17 @@ class PlanarKernelEngine:
         )
         r = self.r_grid
         cosd = np.cos(self.theta)
-        # squared distances between grid points, circulant in the angle index
-        self.dist2 = (r[:, None, None] ** 2 + r[None, :, None] ** 2
-                      - 2.0 * r[:, None, None] * r[None, :, None] * cosd[None, None, :])
+        # squared distances between grid circles, indexed (angle lag, radius,
+        # radius); the lags past n_theta / 2 mirror those below it
+        m = self.n_theta // 2 + 1
+        self.dist2 = (r[None, :, None] ** 2 + r[None, None, :] ** 2
+                      - 2.0 * r[None, :, None] * r[None, None, :] * cosd[:m, None, None])
+        # the rfft over the lag of a sequence even in the lag, as a real
+        # (frequency, lag) matrix on the lags 0..n_theta/2; every lag but 0
+        # and n_theta/2 also stands for its mirror
+        lag = np.arange(m)
+        mirrored = np.where((lag == 0) | (2 * lag == self.n_theta), 1.0, 2.0)
+        self._lag_cos = mirrored * np.cos(2.0 * pi * np.outer(lag, lag) / self.n_theta)
         # distances from grid points to y (y at angle 0 in engine coordinates)
         self.dist_y = np.sqrt(np.maximum(
             r[:, None] ** 2 + self.ry ** 2 - 2.0 * r[:, None] * self.ry * cosd[None, :],
@@ -330,6 +338,7 @@ class PlanarKernelEngine:
         self._p1 = None
         self._terms_cache: list = []
         self._fp = None
+        self._ws = None   # _kernel_fft buffers, allocated on first use
 
     # -- free-kernel helpers -------------------------------------------------
 
@@ -338,23 +347,41 @@ class PlanarKernelEngine:
         return kernel_t(s, self.dist_y, 2, self.params.alpha)
 
     def _kernel_fft(self, s: float) -> np.ndarray:
-        """rfft over the angle lag of p(s, |z - w|) between grid circles."""
+        """Angle-lag rfft of p(s, |z - w|) between grid circles, indexed
+        (frequency, radius of z, radius of w).
+
+        The kernel is even in the lag, so the transform is real and one
+        matrix product over the lags 0..n_theta/2.  The result lives in a
+        workspace that the next call overwrites: a sweep makes hundreds of
+        these calls, and fresh arrays of this size would be returned to the
+        OS on every free and page-faulted back in.
+        """
+        if self._ws is None:
+            self._ws = tuple(np.empty_like(self.dist2) for _ in range(3))
+        q, P, khat = self._ws
         if is_cauchy(self.params.alpha):
-            q = s * s + self.dist2
-            P = (s / (2.0 * pi)) / (q * np.sqrt(q))
+            np.add(self.dist2, s * s, out=q)
+            np.sqrt(q, out=P)
+            np.multiply(q, P, out=P)
+            np.divide(s / (2.0 * pi), P, out=P)
         else:
             P = kernel_t(s, np.sqrt(self.dist2), 2, self.params.alpha)
-        return np.fft.rfft(P, axis=-1)
+        m = len(self._lag_cos)
+        np.matmul(self._lag_cos, P.reshape(m, -1), out=khat.reshape(m, -1))
+        return khat
 
     def _apply(self, khat: np.ndarray, G: np.ndarray) -> np.ndarray:
         """sum_w cell_w[w] p(s, z, w) G[w] via the circulant angle structure."""
-        ghat = np.fft.rfft(self.cell_w * G, axis=-1)
-        return np.fft.irfft(np.einsum("jkf,kf->jf", khat, ghat), n=self.n_theta, axis=-1)
+        ghat = np.fft.rfft(self.cell_w * G, axis=-1).T
+        # (frequency, radius, re/im): one real matrix product per frequency
+        g = np.ascontiguousarray(ghat).view(float).reshape(ghat.shape + (2,))
+        I = np.matmul(khat, g).view(complex)[..., 0]
+        return np.fft.irfft(I.T, n=self.n_theta, axis=-1)
 
     def _mass(self, khat: np.ndarray) -> np.ndarray:
         """Discrete kernel mass per radius (angle-independent)."""
         col = (self.cell_w[:, 0] * self.n_theta)  # sum over angles of cell_w
-        return (khat[:, :, 0].real @ col) / self.n_theta * 1.0  # f=0 term carries the sum
+        return (khat[0] @ col) / self.n_theta * 1.0  # f=0 term carries the sum
 
     def _convolve(self, s: float, G: np.ndarray) -> np.ndarray:
         """int p(s, z, w) G(w) dw with the resolution blend and inner ring.

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hardyheat import duhamel
 from hardyheat.cli import main
 from hardyheat.params import kappa_star
 
@@ -204,7 +205,10 @@ def test_bad_input_exits_2(runner, args):
 
 
 @pytest.mark.slow
-def test_verify_invariance_in_three_dimensions(runner):
+def test_verify_invariance_in_three_dimensions(runner, monkeypatch):
+    # a private engine cache, so that the two d = 3 engines evict none of the
+    # d = 2 engines that later tests reuse
+    monkeypatch.setattr(duhamel, "_RADIAL_CACHE", {})
     res = runner.invoke(main, ["verify", "--suite", "invariance", "--d", "3",
                                "--kappa", "0.1", "--paths", "2000"])
     # the points carry d coordinates (they were planar and failed to reshape)

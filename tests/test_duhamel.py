@@ -118,6 +118,26 @@ def test_grid_read_across_the_axis(ref_subcritical):
     assert eng._value_from_grid(U, more) == pytest.approx(ref, rel=1e-13)
 
 
+@pytest.mark.parametrize("alpha, n_angular", [(1.0, 8), (1.0, 9), (1.5, 8)])
+def test_angular_convolution_matches_direct_sum(alpha, n_angular):
+    # the engine transforms the kernel over half the angle lags only (it is
+    # even in the lag); that must equal the plain sum over all grid pairs,
+    # for an odd angular grid too
+    p = ModelParams.from_kappa(2, alpha, 0.5 * kappa_star(2, alpha))
+    eng = PlanarKernelEngine(p, 1.0, X, QuadratureConfig(n_angular=n_angular,
+                                                         radial_per_decade=1))
+    G = np.random.default_rng(3).random((len(eng.r_grid), n_angular))
+    r = eng.r_grid[:, None, None, None]
+    w = eng.r_grid[None, None, :, None]
+    lag = eng.theta[None, :, None, None] - eng.theta[None, None, None, :]
+    dist = np.sqrt(np.maximum(r ** 2 + w ** 2 - 2.0 * r * w * np.cos(lag), 0.0))
+    for s in (1e-3, 0.3):
+        direct = np.einsum("jakb,kb->ja", kernel_t(s, dist, 2, alpha),
+                           eng.cell_w * G)
+        fast = eng._apply(eng._kernel_fft(s), G)
+        assert fast == pytest.approx(direct, rel=1e-10)
+
+
 def _read_one(eng, U, x):
     """Reference bilinear (log r, theta) read of one point, in scalar math."""
     r, n = eng.r_grid, eng.n_theta
