@@ -36,6 +36,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# Most rows that kappa --curve writes.
+MAX_CURVE_ROWS = 100_000
+
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
@@ -194,7 +197,8 @@ def _run_checks(payload: dict, checks, budget: float | None) -> tuple:
               help="coupling: print the matching origin exponent")
 @click.option("--kappa-star", "star", is_flag=True,
               help="print the critical coupling")
-@click.option("--curve", type=int, default=None,
+@click.option("--curve", type=click.IntRange(max=MAX_CURVE_ROWS),
+              default=None,
               help="emit an N-row CSV of the coupling curve")
 def kappa(d, alpha, beta, kappa, star, curve):
     """The coupling curve beta -> kappa(beta) and its inverse."""
@@ -271,7 +275,7 @@ def verify(d, alpha, kappa, delta, suite, paths, seed, budget):
     e1 = np.eye(1, d)[0]
     payload = {"suite": suite}
     if suite == "blowup":
-        report = blowup_probe(1.0, e1, -e1, params)
+        report = blowup_probe(1.0, e1, params)
         ok = report.diverged if params.is_supercritical else report.converged
         payload.update(results=[], report=report,
                        status="pass" if ok else "fail")

@@ -43,6 +43,10 @@ from .stable_kernel import (
     weighted_mass,
 )
 
+_SIGMA_PER_PANEL = 6      # Gauss points per time panel of the radial engine
+_SIGMA_EDGE = 1e-8        # its relative refinement depth at the time endpoints
+_PLANAR_R_MIN, _PLANAR_R_MAX = 1e-3, 3e2   # radial extent of the planar grid
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -57,8 +61,6 @@ class QuadratureConfig:
     radial_per_decade: int = 3    # log panels per decade (8 Gauss points each)
     n_angular: int = 32           # angular grid of the pointwise engine (d = 2)
     sigma_per_decade: float = 2.0  # time-quadrature panels per decade
-    sigma_per_panel: int = 6
-    sigma_edge: float = 1e-8      # relative refinement depth at the time endpoints
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 0.1):
@@ -164,7 +166,7 @@ class RadialWeightedEngine:
             c.eps0, c.r_max, n_per_panel=8, per_decade=c.radial_per_decade
         )
         self.s_nodes, self.s_weights = refined_unit_nodes(
-            n_per_panel=c.sigma_per_panel, edge_ratio=c.sigma_edge,
+            n_per_panel=_SIGMA_PER_PANEL, edge_ratio=_SIGMA_EDGE,
             per_decade=c.sigma_per_decade,
         )
         # inner-ring extrapolation exponent: the solution behaves like
@@ -186,6 +188,7 @@ class RadialWeightedEngine:
         area = sphere_area(d)
         K = np.zeros((n, n))
         a_levy = levy_constant(d, alpha)
+        a_in, w_in = log_panel_nodes(1e-4 * self.cfg.eps0, self.cfg.eps0, 8, 2)
         for s, ws in zip(self.s_nodes, self.s_weights):
             cs = (1.0 - s) ** (-1.0 / alpha)
             pref = (1.0 - s) ** (-beta / alpha)
@@ -199,7 +202,6 @@ class RadialWeightedEngine:
             DR = (pref * r[:, None] ** (-alpha)) * R
             # resolved rows are rescaled to the exact mass (1 minus the ring
             # masses outside the grid), removing the leading quadrature error
-            a_in, w_in = log_panel_nodes(1e-4 * self.cfg.eps0, self.cfg.eps0, 8, 2)
             th_in = angular_average(s, r[:, None], a_in[None, :], d, alpha)
             mass_in = area * (th_in @ (w_in * a_in ** (d - 1)))
             mass_out = area * s * a_levy * self.cfg.r_max ** (-alpha) / alpha
@@ -282,8 +284,7 @@ class PlanarKernelEngine:
     normalization where it is resolved.
     """
 
-    def __init__(self, params: ModelParams, t: float, y, cfg: QuadratureConfig | None = None,
-                 r_min: float = 1e-3, r_max: float = 3e2):
+    def __init__(self, params: ModelParams, t: float, y, cfg: QuadratureConfig | None = None):
         if params.d != 2:
             raise DomainError("the pointwise grid engine supports d = 2 only")
         if t <= 0.0:
@@ -297,13 +298,13 @@ class PlanarKernelEngine:
         if self.ry <= 0.0:
             raise DomainError("y must be nonzero")
         c = self.cfg
+        self.r_min, self.r_max = _PLANAR_R_MIN, _PLANAR_R_MAX
         self.r_grid, self.r_weights = log_panel_nodes(
-            r_min, r_max, n_per_panel=8, per_decade=c.radial_per_decade
+            self.r_min, self.r_max, n_per_panel=8, per_decade=c.radial_per_decade
         )
         self.n_theta = c.n_angular
         self.theta = 2.0 * pi * np.arange(self.n_theta) / self.n_theta
         self.w_theta = 2.0 * pi / self.n_theta
-        self.r_min, self.r_max = r_min, r_max
         nt = c.time_subdivisions
         self.tau = t * np.geomspace(1e-2, 1.0, nt)
         self.v_nodes, self.v_weights = refined_unit_nodes(
@@ -380,8 +381,7 @@ class PlanarKernelEngine:
 
     def _mass(self, khat: np.ndarray) -> np.ndarray:
         """Discrete kernel mass per radius (angle-independent)."""
-        col = (self.cell_w[:, 0] * self.n_theta)  # sum over angles of cell_w
-        return (khat[0] @ col) / self.n_theta * 1.0  # f=0 term carries the sum
+        return khat[0] @ self.cell_w[:, 0]   # frequency 0 carries the angle sum
 
     def _convolve(self, s: float, G: np.ndarray) -> np.ndarray:
         """int p(s, z, w) G(w) dw with the resolution blend and inner ring.

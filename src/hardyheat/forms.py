@@ -23,11 +23,14 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 from scipy.special import hyp2f1, j0
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .params import ModelParams, kappa_star
 from .quadrature import log_panel_nodes, panel_nodes
 from .results import CheckResult, make_result
 from .stable_kernel import levy_constant, sphere_area
+
+_PV_INNER_RADIUS = 1e-3   # ring that frac_laplacian replaces by its Taylor term
+_FFT_POINTS = 1024        # points per axis of the autocorrelation's FFT grid
 
 
 @dataclass(frozen=True)
@@ -89,25 +92,6 @@ class TestFunction:
         out = np.where(r > 0.0, np.maximum(r, 1e-300) ** (-expo) * cut, 0.0)
         return out
 
-    def gradient(self, pts: np.ndarray) -> np.ndarray:
-        """Analytic gradient, shape (..., d)."""
-        pts = np.asarray(pts, dtype=float)
-        if self.kind == "gaussian":
-            return _gaussian_grad(pts, self.center, self.scale)
-        if self.kind == "bump":
-            return _bump_grad(pts, self.center, self.scale)
-        if self.kind == "product":
-            g = _gaussian(pts, self.center, self.scale)
-            b = _bump(pts, self.center2, self.scale2)
-            return (g[..., None] * _bump_grad(pts, self.center2, self.scale2)
-                    + b[..., None] * _gaussian_grad(pts, self.center, self.scale))
-        # radial numeric derivative for the near-optimizer profile
-        r = np.sqrt(np.sum(pts * pts, axis=-1))
-        h = 1e-6 * np.maximum(r, 1e-3)
-        dg = (self.radial_profile(r + h) - self.radial_profile(r - h)) / (2.0 * h)
-        unit = pts / np.maximum(r, 1e-300)[..., None]
-        return dg[..., None] * unit
-
     @property
     def is_radial(self) -> bool:
         if self.kind == "hardy_profile":
@@ -118,13 +102,8 @@ class TestFunction:
     @property
     def support_radius(self) -> float:
         """Radius beyond which the function is negligible (or exactly zero)."""
-        if self.kind == "gaussian":
-            return float(np.hypot(*self.center)) + 10.0 * self.scale
-        if self.kind == "bump":
-            return float(np.hypot(*self.center)) + self.scale
-        if self.kind == "product":
-            return float(np.hypot(*self.center2)) + self.scale2
-        return 2.0 * self.scale
+        rc, hw = _support_annulus(self)
+        return rc + hw
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -141,11 +120,6 @@ def _gaussian(pts, center, scale):
     return np.exp(-0.5 * np.sum(diff * diff, axis=-1) / scale ** 2)
 
 
-def _gaussian_grad(pts, center, scale):
-    diff = pts - np.asarray(center, dtype=float)
-    return -_gaussian(pts, center, scale)[..., None] * diff / scale ** 2
-
-
 def _bump_radial(r, R):
     u = (np.asarray(r, dtype=float) / R) ** 2
     out = np.zeros_like(u)
@@ -157,16 +131,6 @@ def _bump_radial(r, R):
 def _bump(pts, center, R):
     diff = pts - np.asarray(center, dtype=float)
     return _bump_radial(np.sqrt(np.sum(diff * diff, axis=-1)), R)
-
-
-def _bump_grad(pts, center, R):
-    diff = pts - np.asarray(center, dtype=float)
-    u = np.sum(diff * diff, axis=-1) / R ** 2
-    f = _bump(pts, center, R)
-    fac = np.zeros_like(u)
-    inside = u < 1.0 - 1e-12
-    fac[inside] = -1.0 / (1.0 - u[inside]) ** 2
-    return (f * fac)[..., None] * 2.0 * diff / R ** 2
 
 
 def load_corpus(d: int = 2, alpha: float = 1.0) -> list:
@@ -200,13 +164,13 @@ class FormValue:
 # Fractional Laplacian on test functions
 
 
-def frac_laplacian(phi: TestFunction, x, params: ModelParams,
-                   r0: float = 1e-3) -> float:
+def frac_laplacian(phi: TestFunction, x, params: ModelParams) -> float:
     """Principal-value evaluation of the generator at a point (d = 2).
 
-    The ring |y| < r0 is replaced by the second-order Taylor term (the
-    gradient part vanishes by symmetry); beyond the quadrature range the
-    -phi(x) mass of the Levy tail is added in closed form.
+    The ring |y| < r0 = _PV_INNER_RADIUS is replaced by the second-order
+    Taylor term (the gradient part vanishes by symmetry); beyond the
+    quadrature range the -phi(x) mass of the Levy tail is added in closed
+    form.
     """
     if params.d != 2:
         raise DomainError("pointwise generator quadrature supports d = 2 only")
@@ -214,6 +178,7 @@ def frac_laplacian(phi: TestFunction, x, params: ModelParams,
     x = np.asarray(x, dtype=float)
     A = levy_constant(d, alpha)
     fx = float(phi(x))
+    r0 = _PV_INNER_RADIUS
     # Laplacian trace by central differences for the inner Taylor ring
     h = 0.25 * r0
     tr = sum(
@@ -355,13 +320,13 @@ def energy(f: TestFunction, params: ModelParams, route: str = "auto") -> FormVal
     return FormValue(val, 2e-4 * abs(val), "direct_double")
 
 
-def _fft_autocorrelation(f: TestFunction, n: int = 1024):
+def _fft_autocorrelation(f: TestFunction):
     """(corr, E2, r_valid): angular integral of C(w) over |w| = r by FFT.
 
     corr(r) returns int_0^{2pi} C(r omega) d theta; valid for r <= r_valid.
     """
     R = f.support_radius
-    c = np.asarray(f.center if f.kind != "product" else f.center, dtype=float)
+    n = _FFT_POINTS
     L = 2.6 * R
     xs = np.linspace(-L, L, n, endpoint=False)
     dx = xs[1] - xs[0]
@@ -370,8 +335,7 @@ def _fft_autocorrelation(f: TestFunction, n: int = 1024):
     F = np.fft.rfft2(vals)
     C = np.fft.irfft2(np.abs(F) ** 2, s=(n, n)) * dx * dx
     C = np.fft.fftshift(C)
-    spl = RectBivariateSpline(xs, xs, np.fft.ifftshift(
-        np.fft.fftshift(C)), kx=3, ky=3)
+    spl = RectBivariateSpline(xs, xs, C, kx=3, ky=3)
     E2 = float(spl(0.0, 0.0)[0, 0])
     n_th = 64
     th = 2.0 * pi * np.arange(n_th) / n_th
@@ -465,12 +429,7 @@ def bar_energy(f: TestFunction, params: ModelParams) -> FormValue:
     if delta == 0.0:
         return FormValue(e.value, e.error, "ground_state_transform")
     c = _h_weight_constant(delta, alpha, d)
-    # int f^2 |x|^{-alpha} via the radial reduction q(s) = s * (angular f^2)
-    sg, ws, n_th = _radial_l2_grid(f)
-    th = 2.0 * pi * np.arange(n_th) / n_th
-    P = sg[:, None, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)[None, :, :]
-    q = sg * np.sum(f(P) ** 2, axis=1) * (2.0 * pi / n_th)
-    w_mass = float(np.sum(ws * sg ** (-alpha) * q))
+    w_mass = weighted_l2(f, alpha, d)
     val = e.value + c * w_mass
     return FormValue(val, e.error + 1e-6 * abs(c * w_mass),
                      "ground_state_transform")
@@ -520,8 +479,7 @@ def _h_weight_constant(delta: float, alpha: float, d: int) -> float:
     return A * total
 
 
-def check_hardy(f: TestFunction, params: ModelParams,
-                tolerance: float = 1e-6) -> CheckResult:
+def check_hardy(f: TestFunction, params: ModelParams) -> CheckResult:
     """Nonnegativity of E[f] - kappa_star int f^2 |x|^{-alpha} dx."""
     t0 = time.time()
     d, alpha = params.d, params.alpha
@@ -530,19 +488,18 @@ def check_hardy(f: TestFunction, params: ModelParams,
     rhs = ks * weighted_l2(f, alpha, d)
     gap = e.value - rhs
     defect = max(0.0, -gap) / max(e.value, 1e-300)
-    return make_result("hardy_inequality", defect, tolerance, t0,
+    return make_result("hardy_inequality", defect, 1e-6, t0,
                        energy=e.value, weighted_mass_side=rhs, gap=gap)
 
 
-def check_form_identity(f: TestFunction, params: ModelParams,
-                        tolerance: float = 1e-3) -> CheckResult:
+def check_form_identity(f: TestFunction, params: ModelParams) -> CheckResult:
     """Defect of conditioned_form = E[f] - int f^2 q, q = kappa |x|^{-alpha}."""
     t0 = time.time()
     e = energy(f, params)
     bar = bar_energy(f, params)
     pot = params.kappa * weighted_l2(f, params.alpha, params.d)
     defect = abs(bar.value - (e.value - pot)) / max(e.value, 1.0)
-    return make_result("form_identity", defect, tolerance, t0,
+    return make_result("form_identity", defect, 1e-3, t0,
                        bar_energy=bar.value, energy=e.value, potential_term=pot)
 
 

@@ -24,6 +24,8 @@ from .errors import DomainError, ReliabilityError
 from .params import ModelParams, Regime, kappa_of_beta
 
 _MAX_SUBSTEP_LEVELS = 12
+_SUBSTEP_RADIUS = 0.1      # steps are halved for paths inside this radius
+_WEIGHT_CAP = exp(20.0)    # weights exp(kappa A) above it are truncated
 
 
 @dataclass(frozen=True)
@@ -33,18 +35,12 @@ class McConfig:
     n_paths: int = 10_000
     n_steps: int = 100
     seed: int = 12345
-    weight_cap: float = exp(20.0)
-    substep_radius: float = 0.1
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.weight_cap <= 1.0:
-            raise DomainError(f"weight_cap must exceed 1, got {self.weight_cap}")
-        if self.substep_radius <= 0.0:
-            raise DomainError("substep_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -57,9 +53,9 @@ class McEstimate:
     capped_fraction: float
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator; (seed, stream) pairs give independent streams."""
-    return np.random.Generator(np.random.Philox(key=(seed, stream)))
+def make_rng(seed: int) -> np.random.Generator:
+    """Counter-based generator keyed on (seed, 0)."""
+    return np.random.Generator(np.random.Philox(key=(seed, 0)))
 
 
 def subordinator_increments(rng: np.random.Generator, n: int, h: float,
@@ -93,12 +89,12 @@ def stable_increments(rng: np.random.Generator, n: int, d: int, h: float,
 
 
 def _advance(rng: np.random.Generator, x: np.ndarray, h: float, level: int,
-             alpha: float, cfg: McConfig):
+             alpha: float):
     """Advance all paths by time h; returns (new positions, functional increment).
 
     The increment approximates int_0^h |X_s|^{-alpha} ds by the trapezoid
     rule; the step is recursively halved while the path sits inside
-    substep_radius, where the integrand is steep.  Halving stops once the
+    _SUBSTEP_RADIUS, where the integrand is steep.  Halving stops once the
     step already resolves the local scale (h below a quarter of r^alpha, the
     time over which the process moves a distance r), which bounds the depth
     for paths merely hovering near the boundary of the sub-step region.
@@ -107,12 +103,12 @@ def _advance(rng: np.random.Generator, x: np.ndarray, h: float, level: int,
     out = np.empty_like(x)
     a_inc = np.empty(n)
     r = np.sqrt(np.sum(x * x, axis=1))
-    split = ((r < cfg.substep_radius) & (level < _MAX_SUBSTEP_LEVELS)
+    split = ((r < _SUBSTEP_RADIUS) & (level < _MAX_SUBSTEP_LEVELS)
              & (h > 0.25 * np.maximum(r, 1e-300) ** alpha))
     if np.any(split):
         xs = x[split]
-        xs, a1 = _advance(rng, xs, 0.5 * h, level + 1, alpha, cfg)
-        xs, a2 = _advance(rng, xs, 0.5 * h, level + 1, alpha, cfg)
+        xs, a1 = _advance(rng, xs, 0.5 * h, level + 1, alpha)
+        xs, a2 = _advance(rng, xs, 0.5 * h, level + 1, alpha)
         out[split] = xs
         a_inc[split] = a1 + a2
     keep = ~split
@@ -140,14 +136,14 @@ def _run_paths(x, t: float, params: ModelParams, cfg: McConfig,
     X = np.repeat(x0, cfg.n_paths, axis=0)
     A = np.zeros(cfg.n_paths)
     h = t / cfg.n_steps
-    log_cap = log(cfg.weight_cap)
+    log_cap = log(_WEIGHT_CAP)
     ti = None
     if record_weight_exponent is not None:
         g = record_weight_exponent
         prev = np.full(cfg.n_paths, float(np.linalg.norm(x0)) ** -g)
         ti = np.zeros(cfg.n_paths)
     for _ in range(cfg.n_steps):
-        X, inc = _advance(rng, X, h, 0, alpha, cfg)
+        X, inc = _advance(rng, X, h, 0, alpha)
         A += inc
         if ti is not None:
             r = np.maximum(np.sqrt(np.sum(X * X, axis=1)), 1e-300)
@@ -158,10 +154,10 @@ def _run_paths(x, t: float, params: ModelParams, cfg: McConfig,
 
 
 def _capped_payoff(X: np.ndarray, A: np.ndarray, beta: float,
-                   params: ModelParams, cfg: McConfig) -> tuple:
-    """(exp(kappa A)|X|^{-beta} with the weight truncated at weight_cap,
+                   params: ModelParams) -> tuple:
+    """(exp(kappa A)|X|^{-beta} with the weight truncated at _WEIGHT_CAP,
     the mask of capped paths)."""
-    log_cap = log(cfg.weight_cap)
+    log_cap = log(_WEIGHT_CAP)
     expo = params.kappa * A
     r = np.maximum(np.sqrt(np.sum(X * X, axis=1)), 1e-300)
     return np.exp(np.minimum(expo, log_cap)) * r ** -beta, expo > log_cap
@@ -190,12 +186,12 @@ def feynman_kac(x, t: float, beta: float, params: ModelParams,
                 cfg: McConfig) -> McEstimate:
     """MC estimate of int p_tilde(t, x, y) |y|^{-beta} dy.
 
-    Weights exp(kappa A_t) above weight_cap are truncated (biasing the
+    Weights exp(kappa A_t) above _WEIGHT_CAP are truncated (biasing the
     estimate low); a capped fraction above 1% raises a reliability error.
     """
     _check_fk_args(x, t, beta, params)
     X, A, _ = _run_paths(x, t, params, cfg)
-    return _estimate(*_capped_payoff(X, A, beta, params, cfg))
+    return _estimate(*_capped_payoff(X, A, beta, params))
 
 
 def fk_invariance_defect(x, t: float, beta: float, params: ModelParams,
@@ -214,7 +210,7 @@ def fk_invariance_defect(x, t: float, beta: float, params: ModelParams,
     kb = kappa_of_beta(d, alpha, beta)
     X, A, ti = _run_paths(x, t, params, cfg,
                           record_weight_exponent=beta + alpha)
-    lhs, capped = _capped_payoff(X, A, beta, params, cfg)
+    lhs, capped = _capped_payoff(X, A, beta, params)
     rx = float(np.linalg.norm(np.asarray(x, dtype=float)))
     return _estimate(lhs - rx ** -beta - (params.kappa - kb) * ti, capped)
 

@@ -93,13 +93,13 @@ def delta_of_kappa(d: int, alpha: float, kappa: float) -> float:
     return delta
 
 
-def classify(d: int, alpha: float, kappa: float, rel_tol: float = CRITICAL_REL_TOL) -> Regime:
+def classify(d: int, alpha: float, kappa: float) -> Regime:
     """Three-way regime tag for the coupling."""
     _check_alpha(d, alpha)
     if kappa < 0.0:
         raise DomainError(f"kappa must be nonnegative, got {kappa}")
     ks = kappa_star(d, alpha)
-    if abs(kappa - ks) <= rel_tol * ks:
+    if abs(kappa - ks) <= CRITICAL_REL_TOL * ks:
         return Regime.CRITICAL
     return Regime.SUPERCRITICAL if kappa > ks else Regime.SUBCRITICAL
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gamma as _gamma
-from math import lgamma, log, pi, sin, sqrt
+from math import inf, isfinite, lgamma, log, pi, sin
 
 import numpy as np
 from scipy.special import jv
@@ -28,6 +28,8 @@ from .errors import DomainError, QuadratureError
 from .quadrature import log_panel_nodes, panel_nodes, sphere_angle_rule
 
 _ALPHA_ONE_TOL = 1e-12
+_SERIES_TOL = 1e-10     # relative truncation tolerance of the p_1 series
+_ANGULAR_NODES = 32     # angular nodes of the spherical mean
 
 
 class Method(Enum):
@@ -185,7 +187,7 @@ def _hankel_quadrature(r: float, d: int, alpha: float):
     return val, max(abs(val) * 1e-10, 1e-18)
 
 
-def unit_density(r: float, d: int, alpha: float, tol: float = 1e-10):
+def unit_density(r: float, d: int, alpha: float):
     """Unit-time density p_1 at radius r, with an error estimate.
 
     Returns (value, abs_error).
@@ -195,17 +197,17 @@ def unit_density(r: float, d: int, alpha: float, tol: float = 1e-10):
     r = float(abs(r))
     if is_cauchy(alpha):
         return float(cauchy_unit_density(r, d)), 1e-16
-    res = _tail_series(r, d, alpha, tol)
+    res = _tail_series(r, d, alpha, _SERIES_TOL)
     if res is not None:
         return res
-    res = _small_r_series(r, d, alpha, tol)
+    res = _small_r_series(r, d, alpha, _SERIES_TOL)
     if res is not None:
         return res
     return _hankel_quadrature(r, d, alpha)
 
 
 @lru_cache(maxsize=32)
-def _unit_density_interpolant(d: int, alpha: float, tol: float):
+def _unit_density_interpolant(d: int, alpha: float):
     """Log-log Chebyshev-free interpolant of p_1 on a dense radial grid.
 
     Power-law continuation outside the grid: p_1(0+) plateau on the left,
@@ -215,9 +217,9 @@ def _unit_density_interpolant(d: int, alpha: float, tol: float):
 
     r_lo, r_hi = 1e-4, 1e4
     grid = np.geomspace(r_lo, r_hi, 1600)
-    vals = np.array([unit_density(float(r), d, alpha, tol)[0] for r in grid])
+    vals = np.array([unit_density(float(r), d, alpha)[0] for r in grid])
     spline = CubicSpline(np.log(grid), np.log(vals))
-    p0 = unit_density(0.0, d, alpha, tol)[0]
+    p0 = unit_density(0.0, d, alpha)[0]
     a_tail = levy_constant(d, alpha)
 
     def evaluate(r):
@@ -234,7 +236,7 @@ def _unit_density_interpolant(d: int, alpha: float, tol: float):
     return evaluate
 
 
-def unit_density_grid(r, d: int, alpha: float, tol: float = 1e-10, exact: bool = False):
+def unit_density_grid(r, d: int, alpha: float, exact: bool = False):
     """Vectorized p_1 over an array of radii.
 
     With exact=False and alpha != 1 a cached log-log interpolant is used
@@ -245,17 +247,17 @@ def unit_density_grid(r, d: int, alpha: float, tol: float = 1e-10, exact: bool =
         return cauchy_unit_density(r, d)
     if exact:
         flat = r.reshape(-1)
-        vals = np.array([unit_density(float(x), d, alpha, tol)[0] for x in flat])
+        vals = np.array([unit_density(float(x), d, alpha)[0] for x in flat])
         return vals.reshape(r.shape)
-    return _unit_density_interpolant(d, alpha, tol)(r)
+    return _unit_density_interpolant(d, alpha)(r)
 
 
-def kernel_t(t, r, d: int, alpha: float, exact: bool = False):
+def kernel_t(t, r, d: int, alpha: float):
     """p_t at radius r (arrays broadcast), by exact self-similar scaling."""
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
     scale = t ** (-1.0 / alpha)
-    return t ** (-d / alpha) * unit_density_grid(r * scale, d, alpha, exact=exact)
+    return t ** (-d / alpha) * unit_density_grid(r * scale, d, alpha)
 
 
 def free_kernel(t: float, x, d: int, alpha: float) -> KernelValue:
@@ -263,11 +265,17 @@ def free_kernel(t: float, x, d: int, alpha: float) -> KernelValue:
     if not 0.0 < t < np.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     r = float(np.linalg.norm(x)) if np.ndim(x) else float(abs(x))
+    expo = -d if is_cauchy(alpha) else -d / alpha
+    try:
+        s = t ** expo
+    except OverflowError:
+        s = inf
+    if not isfinite(s):
+        raise DomainError(f"t = {t:g} is too small: t^{expo:g} overflows")
     if is_cauchy(alpha):
-        val = float(t ** (-d) * cauchy_unit_density(r / t, d))
+        val = float(s * cauchy_unit_density(r / t, d))
         return KernelValue(val, 1e-16 * val, Method.CLOSED_FORM)
     v, e = unit_density(r * t ** (-1.0 / alpha), d, alpha)
-    s = t ** (-d / alpha)
     return KernelValue(s * v, s * e, Method.FOURIER_INVERSION)
 
 
@@ -283,7 +291,7 @@ def free_kernel_bound_ratio(t: float, x, d: int, alpha: float) -> float:
     return p / bound
 
 
-def levy_symbol(xi_norm: float, d: int, alpha: float, tol: float = 1e-9) -> float:
+def levy_symbol(xi_norm: float, d: int, alpha: float) -> float:
     """Numerical evaluation of the jump-measure symbol integral at |xi|.
 
     Computes int [1 - cos(xi . y)] nu(y) dy by radial reduction; the exact
@@ -415,13 +423,13 @@ def time_integrated_mass(t: float, x, beta: float, d: int, alpha: float) -> floa
     return integral
 
 
-def angular_average(t, a, r, d: int, alpha: float, n_ang: int = 32):
+def angular_average(t, a, r, d: int, alpha: float):
     """Spherical mean of p_t over placements at mutual distance sqrt(a^2+r^2-2arc).
 
     a and r broadcast; returns the mean of p_t(|a e - r omega|) over unit
     vectors omega.
     """
-    c, w = sphere_angle_rule(d, n_ang)
+    c, w = sphere_angle_rule(d, _ANGULAR_NODES)
     a = np.asarray(a, dtype=float)[..., None]
     r = np.asarray(r, dtype=float)[..., None]
     dist = np.sqrt(np.maximum(a ** 2 + r ** 2 - 2.0 * a * r * c, 0.0))

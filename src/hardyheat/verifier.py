@@ -2,10 +2,9 @@
 
 Every check measures a defect against an independently computed reference:
 Chapman-Kolmogorov by grid convolution of two engine runs, the supermedian
-and invariance identities by the weighted-mass engine (and optionally the
-Feynman-Kac sampler), the two-sided comparability estimate by a pointwise
-grid scan, and supercritical blow-up by iterating the series operator on a
-deep radial grid.
+and invariance identities by the weighted-mass engine, the two-sided
+comparability estimate by a pointwise grid scan, and supercritical blow-up
+by iterating the series operator on a deep radial grid.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .errors import DomainError
-from .mc_oracle import McConfig, feynman_kac
 from .params import ModelParams, Regime, kappa_of_beta
 from .quadrature import log_panel_nodes
 from .duhamel import (
@@ -31,6 +29,12 @@ from .duhamel import (
 )
 from .results import CheckResult, make_result
 from .stable_kernel import kernel_t
+
+# the comparability scan's radii and angles around y0 = (1, 0), and times
+_SCAN_RADII = np.geomspace(1e-3, 1e2, 11)
+_SCAN_ANGLES = np.asarray([0.0, pi / 2.0, pi])
+_SCAN_TIMES = (0.25, 1.0, 4.0)
+_PROBE_MAX_TERMS = 4000   # most series terms the blow-up probe sums
 
 
 @dataclass(frozen=True)
@@ -184,13 +188,9 @@ def _peaked_cross(t_free: float, c_free, eng, V_slice,
 
 
 def check_supermedian(t: float, x, params: ModelParams,
-                      cfg: QuadratureConfig | None = None,
-                      mc: McConfig | None = None) -> CheckResult:
-    """Equality int p~(t,x,y)|y|^{-delta} dy = |x|^{-delta} (and never above).
-
-    The quadrature route uses the weighted-mass engine; when an MC config is
-    given the Feynman-Kac route is run as well and both must agree.
-    """
+                      cfg: QuadratureConfig | None = None) -> CheckResult:
+    """Equality int p~(t,x,y)|y|^{-delta} dy = |x|^{-delta} (and never above),
+    by the weighted-mass engine."""
     t0 = time.time()
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("supermedian checks require a finite kernel")
@@ -206,13 +206,6 @@ def check_supermedian(t: float, x, params: ModelParams,
     details = {"quadrature": lhs, "target": target}
     # the one-sided (supermedian) inequality with the quadrature error margin
     violated = lhs > target * (1.0 + 3.0 * tol)
-    if mc is not None:
-        est = feynman_kac(np.atleast_1d(np.asarray(x, dtype=float)), t,
-                          delta, params, mc)
-        z = abs(est.mean - target) / max(est.std_error, 1e-300)
-        details.update(mc_mean=est.mean, mc_std_error=est.std_error, mc_z=z)
-        violated = violated or est.mean > target + 3.0 * est.std_error
-        defect = max(defect, 0.0 if z <= 3.0 else z * est.std_error / target)
     res = make_result("supermedian_equality", defect, tol, t0, **details)
     if violated and res.status == "pass":
         res = replace(res, status="fail")
@@ -312,7 +305,6 @@ def _scan_ratios(params: ModelParams, cfg: QuadratureConfig, radii, angles,
 
 
 def bounds_scan(params: ModelParams, cfg: QuadratureConfig | None = None,
-                radii=None, angles=None, t_values=(0.25, 1.0, 4.0),
                 refine_factor: float = 1.25) -> RatioReport:
     """Comparability scan of p~ against p H(t,x) H(t,y) around y0 = (1, 0).
 
@@ -323,13 +315,12 @@ def bounds_scan(params: ModelParams, cfg: QuadratureConfig | None = None,
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("the two-sided estimate requires a finite kernel")
     cfg = cfg or QuadratureConfig()
-    radii = np.asarray(radii if radii is not None else np.geomspace(1e-3, 1e2, 11))
-    angles = np.asarray(angles if angles is not None else [0.0, pi / 2.0, pi])
+    radii, angles = _SCAN_RADII, _SCAN_ANGLES
     y0 = (1.0, 0.0)
     base = _scan_ratios(params, cfg, radii, angles, y0)
     ratios = {1.0: base}
     ratios.update((t, _scan_ratios(params, cfg, radii, angles, y0, t))
-                  for t in t_values if t != 1.0)
+                  for t in _SCAN_TIMES if t != 1.0)
     alpha, delta = params.alpha, params.delta
     eng, U = _kernel_slice(params, cfg, y0)
     c_lower = float(np.nanmin(base))
@@ -355,7 +346,7 @@ def bounds_scan(params: ModelParams, cfg: QuadratureConfig | None = None,
         slope = -float(popt[1])
     else:
         slope = float(np.polyfit(log_r, log_v, 1)[0])
-    return RatioReport(t_values=tuple(t_values), radii=tuple(radii.tolist()),
+    return RatioReport(t_values=_SCAN_TIMES, radii=tuple(radii.tolist()),
                        angles=tuple(angles.tolist()), ratios=ratios,
                        c_lower=c_lower, c_upper=c_upper,
                        refinement_drift=float(drift), slope=slope,
@@ -366,9 +357,8 @@ def bounds_scan(params: ModelParams, cfg: QuadratureConfig | None = None,
 # Blow-up probe
 
 
-def blowup_probe(t: float, x, y, params: ModelParams,
-                 cfg: QuadratureConfig | None = None,
-                 n_max: int = 4000) -> BlowupReport:
+def blowup_probe(t: float, x, params: ModelParams,
+                 cfg: QuadratureConfig | None = None) -> BlowupReport:
     """Partial-sum divergence probe of the perturbation series.
 
     The series is tracked through its weighted pairing against
@@ -398,7 +388,7 @@ def blowup_probe(t: float, x, y, params: ModelParams,
     log_scale = 0.0
     S = 0.0
     vals = []
-    for _ in range(n_max):
+    for _ in range(_PROBE_MAX_TERMS):
         vals.append(float(phi[i]) * np.exp(log_scale))
         S += vals[-1]
         if S > 2e3 * ref:

@@ -268,9 +268,9 @@ def test_criterion_08_scaling(report):
 
 @pytest.fixture(scope="module")
 def blowup_reports():
-    sup = blowup_probe(1.0, (1.0, 0.0), (-1.0, 0.0),
+    sup = blowup_probe(1.0, (1.0, 0.0),
                        ModelParams.from_kappa(2, 1.0, 1.05 * KS2))
-    sub = blowup_probe(1.0, (1.0, 0.0), (-1.0, 0.0),
+    sub = blowup_probe(1.0, (1.0, 0.0),
                        ModelParams.from_kappa(2, 1.0, 0.95 * KS2))
     return sup, sub
 
@@ -283,7 +283,7 @@ def test_criterion_09_blowup_trichotomy(report, blowup_reports):
         and len(sup.last_ratios) == 5 and min(sup.last_ratios) > 1.0
     ok &= sub.converged and max(sub.last_ratios) < 1.0
     try:
-        blowup_probe(1.0, (1.0, 0.0), (-1.0, 0.0),
+        blowup_probe(1.0, (1.0, 0.0),
                      ModelParams.from_kappa(2, 1.0, KS2))
         guarded = False
     except DomainError:

@@ -197,6 +197,10 @@ def test_unwritable_output(runner, tmp_path):
     # the Chapman-Kolmogorov reference is planar
     ["verify", "--suite", "chapman", "--kappa", "0", "--d", "3"],
     ["kappa", "--kappa", "nan"],
+    # t^{-d/alpha} overflows a float
+    ["kernel", "--t", "1e-200", "--x", "1,0", "--y", "0,0"],
+    # a curve too long to allocate
+    ["kappa", "--curve", "100000000000"],
 ])
 def test_bad_input_exits_2(runner, args):
     res = runner.invoke(main, args)
@@ -230,7 +234,7 @@ def _pick(draw, good: list, bad: list) -> str:
 
 
 def _time(draw) -> str:
-    return _pick(draw, ["1", "2.5"], ["-1", "0", "nan", "inf"])
+    return _pick(draw, ["1", "2.5"], ["-1", "0", "nan", "inf", "1e-200"])
 
 
 def _point(draw, d: int) -> str:

@@ -63,7 +63,27 @@ def test_layering():
     graph, click_users = _import_graph()
     # the forms layer stands beside the engines, not on top of them
     assert not graph["forms"] & {"verifier", "duhamel", "mc_oracle"}
+    # the verifier's checks are quadrature routes; MC comparisons run apart
+    assert "mc_oracle" not in graph["verifier"]
     assert click_users == {"cli"}
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every function in the package is read by the
+    function's body (self and cls aside)."""
+    unread = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                     + [a.vararg, a.kwarg] if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(path.stem, node.name, name) for name in names
+                       if name not in read and name not in ("self", "cls")]
+    assert unread == []
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),

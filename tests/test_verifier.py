@@ -101,17 +101,17 @@ def test_continuity_scan(ref_subcritical):
 @pytest.mark.slow
 def test_blowup_trichotomy():
     sup = ModelParams.from_kappa(2, 1.0, 1.05 * KS)
-    rep = blowup_probe(1.0, (1.0, 0.0), (-1.0, 0.0), sup)
+    rep = blowup_probe(1.0, (1.0, 0.0), sup)
     assert rep.diverged and not rep.converged
     assert rep.s_over_reference > 1e3
     assert min(rep.last_ratios) > 1.0
 
     sub = ModelParams.from_kappa(2, 1.0, 0.95 * KS)
-    rep = blowup_probe(1.0, (1.0, 0.0), (-1.0, 0.0), sub)
+    rep = blowup_probe(1.0, (1.0, 0.0), sub)
     assert rep.converged and not rep.diverged
     assert max(rep.last_ratios) < 1.0
 
 
 def test_blowup_probe_refuses_critical(ref_critical):
     with pytest.raises(DomainError):
-        blowup_probe(1.0, (1.0, 0.0), (-1.0, 0.0), ref_critical)
+        blowup_probe(1.0, (1.0, 0.0), ref_critical)
