@@ -34,7 +34,8 @@ from .quadrature import log_panel_nodes, refined_unit_nodes
 from .stable_kernel import (
     KernelValue,
     Method,
-    angular_average,
+    angular_chords,
+    angular_mean,
     free_kernel,
     is_cauchy,
     kernel_t,
@@ -141,6 +142,35 @@ def _log_interp_matrix(r_grid: np.ndarray, targets: np.ndarray, gamma: float) ->
     return mat
 
 
+class _AngularMeans:
+    """Spherical means of p_s between the radii r and from them to the inner
+    ring a_in, at any time s, from chord tables built once.
+
+    The mean is symmetric in the two radii, so only the pairs i <= j are
+    evaluated; both triangles are filled from them.  Equals angular_average
+    to the last bit.
+    """
+
+    def __init__(self, r, a_in, d: int, alpha: float):
+        n, m = len(r), len(a_in)
+        self.d, self.alpha = d, alpha
+        self._upper = np.triu_indices(n)
+        self._pairs = angular_chords(r[self._upper[0]], r[self._upper[1]], d)
+        self._ring = angular_chords(r[:, None], a_in[None, :], d).reshape(n * m, -1)
+        self._pair_mean = np.empty(len(self._pairs))
+        self._grid_mean = np.empty((n, n))
+        self._ring_mean = np.empty((n, m))
+
+    def at(self, s: float):
+        """(grid, ring) means at time s, in arrays that the next call reuses."""
+        i, j = self._upper
+        angular_mean(s, self._pairs, self.d, self.alpha, self._pair_mean)
+        self._grid_mean[i, j] = self._pair_mean
+        self._grid_mean[j, i] = self._pair_mean
+        angular_mean(s, self._ring, self.d, self.alpha, self._ring_mean.reshape(-1))
+        return self._grid_mean, self._ring_mean
+
+
 class RadialWeightedEngine:
     """Weighted masses F_beta(t, x) = int p_tilde(t, x, y)|y|^{-beta} dy.
 
@@ -189,20 +219,19 @@ class RadialWeightedEngine:
         K = np.zeros((n, n))
         a_levy = levy_constant(d, alpha)
         a_in, w_in = log_panel_nodes(1e-4 * self.cfg.eps0, self.cfg.eps0, 8, 2)
+        means = _AngularMeans(r, a_in, d, alpha)
         for s, ws in zip(self.s_nodes, self.s_weights):
             cs = (1.0 - s) ** (-1.0 / alpha)
             pref = (1.0 - s) ** (-beta / alpha)
+            grid_mean, th_in = means.at(s)
             # Theta[i, j]: quadrature-weighted angular-averaged kernel
-            theta = angular_average(s, r[:, None], r[None, :], d, alpha) * (
-                area * self.r_weights * r ** (d - 1)
-            )
+            theta = grid_mean * (area * self.r_weights * r ** (d - 1))
             mass = theta.sum(axis=1)
             # resample phi at (1-s)^{-1/alpha} a_j, then weight by a^{-alpha}
             R = _log_interp_matrix(r, cs * r, beta)
             DR = (pref * r[:, None] ** (-alpha)) * R
             # resolved rows are rescaled to the exact mass (1 minus the ring
             # masses outside the grid), removing the leading quadrature error
-            th_in = angular_average(s, r[:, None], a_in[None, :], d, alpha)
             mass_in = area * (th_in @ (w_in * a_in ** (d - 1)))
             mass_out = area * s * a_levy * self.cfg.r_max ** (-alpha) / alpha
             lam, scale = _resolution_blend(r, s, alpha, 1.0 - mass_in - mass_out, mass)

@@ -20,6 +20,7 @@ from enum import Enum
 from functools import lru_cache
 from math import gamma as _gamma
 from math import inf, isfinite, lgamma, log, pi, sin
+from sys import float_info
 
 import numpy as np
 from scipy.special import jv
@@ -30,6 +31,8 @@ from .quadrature import log_panel_nodes, panel_nodes, sphere_angle_rule
 _ALPHA_ONE_TOL = 1e-12
 _SERIES_TOL = 1e-10     # relative truncation tolerance of the p_1 series
 _ANGULAR_NODES = 32     # angular nodes of the spherical mean
+_BLOCK_ROWS = 2048      # rows of angular nodes per kernel evaluation (0.5 MB)
+_LOG_TINY = log(float_info.min)   # log of the smallest normal float
 
 
 class Method(Enum):
@@ -187,16 +190,33 @@ def _hankel_quadrature(r: float, d: int, alpha: float):
     return val, max(abs(val) * 1e-10, 1e-18)
 
 
+def _check_alpha(d: int, alpha: float) -> None:
+    """The domain of the alpha != 1 routes: 0 < alpha < min(2, d)."""
+    if not (0.0 < alpha < min(2.0, d) or (0.0 < alpha < 2.0 and alpha < d)):
+        raise DomainError(f"alpha must lie in (0, min(2, d)), got alpha={alpha}, d={d}")
+
+
+def _in_far_tail(r: float, d: int, alpha: float) -> bool:
+    """Whether the leading tail term A r^{-d-alpha} of p_1 is below the
+    smallest normal float.  There every term of the tail series underflows
+    or is subnormal; the leading term alone is p_1 up to a relative error of
+    order r^{-alpha}, at most exp(-708 alpha / (d + alpha)) (1e-132 at
+    d = 2, alpha = 1.5)."""
+    return r > 0.0 and log(levy_constant(d, alpha)) - (d + alpha) * log(r) < _LOG_TINY
+
+
 def unit_density(r: float, d: int, alpha: float):
     """Unit-time density p_1 at radius r, with an error estimate.
 
     Returns (value, abs_error).
     """
-    if not (0.0 < alpha < min(2.0, d) or (0.0 < alpha < 2.0 and alpha < d)):
-        raise DomainError(f"alpha must lie in (0, min(2, d)), got alpha={alpha}, d={d}")
+    _check_alpha(d, alpha)
     r = float(abs(r))
     if is_cauchy(alpha):
         return float(cauchy_unit_density(r, d)), 1e-16
+    if _in_far_tail(r, d, alpha):
+        val = levy_constant(d, alpha) * r ** (-d - alpha)
+        return val, val * max(r ** -alpha, 1e-16)
     res = _tail_series(r, d, alpha, _SERIES_TOL)
     if res is not None:
         return res
@@ -265,18 +285,30 @@ def free_kernel(t: float, x, d: int, alpha: float) -> KernelValue:
     if not 0.0 < t < np.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     r = float(np.linalg.norm(x)) if np.ndim(x) else float(abs(x))
-    expo = -d if is_cauchy(alpha) else -d / alpha
+    cauchy = is_cauchy(alpha)
+    expo = -d if cauchy else -d / alpha
     try:
         s = t ** expo
     except OverflowError:
         s = inf
     if not isfinite(s):
         raise DomainError(f"t = {t:g} is too small: t^{expo:g} overflows")
-    if is_cauchy(alpha):
-        val = float(s * cauchy_unit_density(r / t, d))
-        return KernelValue(val, 1e-16 * val, Method.CLOSED_FORM)
-    v, e = unit_density(r * t ** (-1.0 / alpha), d, alpha)
-    return KernelValue(s * v, s * e, Method.FOURIER_INVERSION)
+    if cauchy:
+        method, rho = Method.CLOSED_FORM, r / t
+    else:
+        _check_alpha(d, alpha)
+        method, rho = Method.FOURIER_INVERSION, r * t ** (-1.0 / alpha)
+    if _in_far_tail(rho, d, alpha):
+        # p_1(rho) is below the smallest normal float, and the factor s cannot
+        # restore its lost digits: take the leading tail term A t r^{-d-alpha},
+        # as A (t r^{-alpha}) r^{-d}, in which no power overflows
+        val = levy_constant(d, alpha) * (t * r ** -alpha) * r ** -d
+        return KernelValue(val, val * max(rho ** -alpha, 1e-16), method)
+    if cauchy:
+        val = float(s * cauchy_unit_density(rho, d))
+        return KernelValue(val, 1e-16 * val, method)
+    v, e = unit_density(rho, d, alpha)
+    return KernelValue(s * v, s * e, method)
 
 
 def free_kernel_bound_ratio(t: float, x, d: int, alpha: float) -> float:
@@ -423,18 +455,40 @@ def time_integrated_mass(t: float, x, beta: float, d: int, alpha: float) -> floa
     return integral
 
 
-def angular_average(t, a, r, d: int, alpha: float):
+def angular_chords(a, r, d: int):
+    """Distances |a e - r omega| = sqrt(a^2 + r^2 - 2 a r c) at the nodes c of
+    the spherical-mean rule; a and r broadcast, the nodes form the last axis.
+
+    The value is symmetric in a and r to the last bit: 2.0 * a is exact.
+    """
+    c, _ = sphere_angle_rule(d, _ANGULAR_NODES)
+    a = np.asarray(a, dtype=float)[..., None]
+    r = np.asarray(r, dtype=float)[..., None]
+    return np.sqrt(np.maximum(a ** 2 + r ** 2 - 2.0 * a * r * c, 0.0))
+
+
+def angular_mean(t: float, chords, d: int, alpha: float, out) -> None:
+    """Spherical mean of p_t over each row of a 2-d table of angular_chords,
+    written into out; the same numbers as angular_average.
+
+    The kernel is evaluated in blocks of _BLOCK_ROWS rows, so that its
+    temporaries stay small however long the table is.
+    """
+    _, w = sphere_angle_rule(d, _ANGULAR_NODES)
+    for lo in range(0, len(chords), _BLOCK_ROWS):
+        vals = kernel_t(t, chords[lo:lo + _BLOCK_ROWS], d, alpha)
+        vals *= w
+        np.sum(vals, axis=-1, out=out[lo:lo + _BLOCK_ROWS])
+
+
+def angular_average(t: float, a, r, d: int, alpha: float):
     """Spherical mean of p_t over placements at mutual distance sqrt(a^2+r^2-2arc).
 
     a and r broadcast; returns the mean of p_t(|a e - r omega|) over unit
     vectors omega.
     """
-    c, w = sphere_angle_rule(d, _ANGULAR_NODES)
-    a = np.asarray(a, dtype=float)[..., None]
-    r = np.asarray(r, dtype=float)[..., None]
-    dist = np.sqrt(np.maximum(a ** 2 + r ** 2 - 2.0 * a * r * c, 0.0))
-    vals = kernel_t(np.asarray(t, dtype=float)[..., None] if np.ndim(t) else t, dist, d, alpha)
-    return np.sum(vals * w, axis=-1)
+    _, w = sphere_angle_rule(d, _ANGULAR_NODES)
+    return np.sum(kernel_t(t, angular_chords(a, r, d), d, alpha) * w, axis=-1)
 
 
 def log_identity_residual(t: float, x, d: int, alpha: float) -> float:

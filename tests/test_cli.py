@@ -1,15 +1,17 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hardyheat import duhamel
 from hardyheat.cli import main
 from hardyheat.params import kappa_star
+from hardyheat.stable_kernel import levy_constant
 
 
 @pytest.fixture()
@@ -208,6 +210,26 @@ def test_bad_input_exits_2(runner, args):
     assert isinstance(res.exception, SystemExit)
 
 
+# far out in the tail, where the unit-time density underflows
+_FAR_TAIL = [
+    ["kernel", "--t", "1e-150", "--x", "1,0", "--y", "0,0"],
+    ["kernel", "--alpha", "1.5", "--t", "1", "--x", "1e100,0", "--y", "0,0"],
+    ["kernel", "--alpha", "1.5", "--t", "1e-200", "--x", "1,0", "--y", "0,0"],
+]
+
+
+def test_kernel_far_tail(runner):
+    # leading tail term A t |x|^{-d-alpha}; A = 1 / (2 pi) at alpha = 1
+    values = []
+    for args in _FAR_TAIL:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        values.append(json.loads(res.output)["value"])
+    assert values[0] == pytest.approx(1e-150 / (2.0 * math.pi), rel=1e-14)
+    assert values[1] == 0.0
+    assert values[2] == pytest.approx(levy_constant(2, 1.5) * 1e-200, rel=1e-6)
+
+
 @pytest.mark.slow
 def test_verify_invariance_in_three_dimensions(runner, monkeypatch):
     # a private engine cache, so that the two d = 3 engines evict none of the
@@ -234,13 +256,13 @@ def _pick(draw, good: list, bad: list) -> str:
 
 
 def _time(draw) -> str:
-    return _pick(draw, ["1", "2.5"], ["-1", "0", "nan", "inf", "1e-200"])
+    return _pick(draw, ["1", "2.5", "1e-150"], ["-1", "0", "nan", "inf", "1e-200"])
 
 
 def _point(draw, d: int) -> str:
     """A point with d coordinates, or one with the wrong number, or junk."""
     n = d if draw(st.integers(0, 3)) else draw(st.integers(1, 5))
-    coords = draw(st.lists(st.sampled_from(["1", "-0.5", "0", "2"]),
+    coords = draw(st.lists(st.sampled_from(["1", "-0.5", "0", "2", "1e100"]),
                            min_size=n, max_size=n))
     return _pick(draw, [",".join(coords)], ["nan,0", "inf,1", "nope", "",
                                             "1,,0"])
@@ -264,6 +286,7 @@ def _argv(draw):
     elif cmd == "kernel":
         argv = (["kernel", "--t", _time(draw), "--x", _point(draw, d),
                  "--y", _point(draw, d)]
+                + draw(st.sampled_from([[], ["--alpha", "1.5"]]))
                 + _pick(draw, [[]], [["--format", "csv"]]))
     elif cmd == "mc":
         argv = ["mc", "--kappa", _pick(draw, ["0", "0.1", "critical"],
@@ -287,6 +310,9 @@ def _argv(draw):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argv())
+@example(argv=_FAR_TAIL[0])
+@example(argv=_FAR_TAIL[1])
+@example(argv=_FAR_TAIL[2])
 def test_cli_never_tracebacks(runner, tmp_path, argv):
     """Every exit code is in {0, 1, 2, 3}, and no run ends in a traceback."""
     if "--output" in argv:
@@ -295,3 +321,6 @@ def test_cli_never_tracebacks(runner, tmp_path, argv):
     assert res.exit_code in (0, 1, 2, 3), (argv, res.output)
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         (argv, res.exception)
+    # the free kernel has a value for every finite input
+    if argv[0] == "kernel":
+        assert res.exit_code != 1, (argv, res.output)

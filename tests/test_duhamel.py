@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from hardyheat import duhamel
+from hardyheat import duhamel, stable_kernel
 from hardyheat.duhamel import (
     PlanarKernelEngine,
     QuadratureConfig,
@@ -18,7 +18,8 @@ from hardyheat.duhamel import (
 )
 from hardyheat.errors import DomainError
 from hardyheat.params import ModelParams, kappa_star
-from hardyheat.stable_kernel import kernel_t
+from hardyheat.quadrature import log_panel_nodes
+from hardyheat.stable_kernel import angular_average, kernel_t
 
 X, Y = (1.0, 0.0), (-1.0, 0.0)
 
@@ -136,6 +137,22 @@ def test_angular_convolution_matches_direct_sum(alpha, n_angular):
                            eng.cell_w * G)
         fast = eng._apply(eng._kernel_fft(s), G)
         assert fast == pytest.approx(direct, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_radial_angular_means_match_angular_average(alpha):
+    # the operator build reads both triangles of the grid means from the
+    # pairs i <= j only, and the inner-ring means from a flattened table;
+    # both must be angular_average to the last bit.  The 64 radii give 2080
+    # pairs, one full block and a partial one.
+    r, _ = log_panel_nodes(1e-5, 1e3, n_per_panel=8, per_decade=1)
+    a_in, _ = log_panel_nodes(1e-9, 1e-5, 8, 2)
+    assert len(r) * (len(r) + 1) // 2 % stable_kernel._BLOCK_ROWS
+    means = duhamel._AngularMeans(r, a_in, 2, alpha)
+    for s in (1e-6, 0.3, 0.99):
+        grid, ring = means.at(s)
+        assert np.array_equal(grid, angular_average(s, r[:, None], r[None, :], 2, alpha))
+        assert np.array_equal(ring, angular_average(s, r[:, None], a_in[None, :], 2, alpha))
 
 
 def _read_one(eng, U, x):

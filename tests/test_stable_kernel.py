@@ -13,6 +13,7 @@ from hardyheat.stable_kernel import (
     free_kernel,
     free_kernel_bound_ratio,
     kernel_t,
+    levy_constant,
     levy_symbol,
     log_identity_residual,
     time_integrated_mass,
@@ -55,7 +56,7 @@ def test_unit_density_positive_and_decreasing():
 def test_unit_density_normalization():
     # int p_1 = 1, by radial quadrature plus the exact power-law tail
     from hardyheat.quadrature import log_panel_nodes
-    from hardyheat.stable_kernel import levy_constant, sphere_area
+    from hardyheat.stable_kernel import sphere_area
 
     for d, alpha in [(2, 1.0), (2, 1.5), (3, 1.0)]:
         r_hi = 1e6
@@ -90,6 +91,33 @@ def test_free_kernel_cauchy_value():
     assert v.value == pytest.approx(1.0 / (2.0 * np.pi * 2.0 ** 1.5), rel=1e-14)
     with pytest.raises(DomainError):
         free_kernel(0.0, (1.0, 0.0), 2, 1.0)
+
+
+def test_free_kernel_at_tiny_times():
+    # far out in the tail the scaled density p_1(r t^{-1/alpha}) underflows
+    # while p_t(r) ~ A t r^{-d-alpha} does not
+    v = free_kernel(1e-150, (1.0, 0.0), 2, 1.0)
+    # Cauchy closed form c t / (t^2 + r^2)^{3/2}, c = 1 / (2 pi)
+    assert v.value == pytest.approx(1e-150 / (2.0 * np.pi), rel=1e-14)
+    v = free_kernel(1e-200, (1.0, 0.0), 2, 1.5)
+    assert v.value == pytest.approx(levy_constant(2, 1.5) * 1e-200, rel=1e-6)
+    # the same term on either side of the switch to it
+    for alpha in (1.0, 1.5):
+        for r in np.geomspace(1e80, 1e95, 7):
+            v = free_kernel(1.0, r, 2, alpha).value
+            assert v == pytest.approx(levy_constant(2, alpha) * r ** (-2 - alpha),
+                                      rel=1e-12)
+    # and there as everywhere, alpha < d
+    with pytest.raises(DomainError):
+        free_kernel(1.0, 1e100, 1, 1.5)
+
+
+def test_unit_density_far_tail():
+    # every term of the tail series underflows at r = 1e100
+    v, e = unit_density(1e100, 2, 1.5)
+    assert v == 0.0 and e == 0.0
+    v, _ = unit_density(1e90, 2, 1.5)
+    assert v == pytest.approx(levy_constant(2, 1.5) * 1e90 ** -3.5, rel=1e-12)
 
 
 def test_free_kernel_envelope():
