@@ -46,14 +46,13 @@ MAX_CURVE_ROWS = 100_000
 
 def _clean(obj):
     """Recursively convert to plain JSON types, rounding floats to 17
-    significant digits, writing enums as their values and dropping
-    wall-clock fields."""
+    significant digits and writing enums as their values."""
     if is_dataclass(obj) and not isinstance(obj, type):
         obj = asdict(obj)
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items() if k != "runtime"}
+        return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     if isinstance(obj, np.ndarray):
@@ -285,11 +284,10 @@ def verify(d, alpha, kappa, delta, suite, paths, seed, budget):
         if suite in ("invariance", "all"):
             beta = 0.25 * params.delta
             yield check_invariance(beta, 1.0, e1, params)
-            t0 = time.time()
             est = fk_invariance_defect(e1, 1.0, beta, params,
                                        McConfig(n_paths=paths, seed=seed))
             yield make_result("invariance_mc", abs(est.mean),
-                              3.0 * est.std_error, t0, mean=est.mean,
+                              3.0 * est.std_error, mean=est.mean,
                               std_error=est.std_error)
         if suite in ("supermedian", "all"):
             for t, rx in ((1.0, 1.0), (1.0, 0.1), (4.0, 1.0)):
@@ -341,12 +339,11 @@ def form(d, alpha, kappa, delta, budget):
         for tf in forms_mod.load_corpus(d, alpha):
             yield forms_mod.check_hardy(tf, params)
             yield forms_mod.check_form_identity(tf, params)
-        t0 = time.time()
         gaps = forms_mod.near_optimizer_gaps([2, 4, 8], params)
         payload["near_optimizer_gaps"] = gaps
         decreasing = all(a > b for a, b in zip(gaps, gaps[1:]))
         yield make_result("near_optimizer_gap_decreasing",
-                          0.0 if decreasing else 1.0, 0.0, t0, gaps=gaps)
+                          0.0 if decreasing else 1.0, 0.0, gaps=gaps)
 
     return _run_checks(payload, checks(), budget)
 

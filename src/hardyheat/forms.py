@@ -12,7 +12,6 @@ everything else is integrated in polar coordinates.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -31,6 +30,9 @@ from .stable_kernel import levy_constant, sphere_area
 
 _PV_INNER_RADIUS = 1e-3   # ring that frac_laplacian replaces by its Taylor term
 _FFT_POINTS = 1024        # points per axis of the autocorrelation's FFT grid
+_HANKEL_ROWS = 32         # frequencies per block of the Hankel product (7.5 MB
+                          # at 29k radii); a multiple of 4 keeps BLAS's dot
+                          # products, and so every bit, as in one product
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,10 @@ class TestFunction:
     __test__ = False      # not a test case despite the name
 
     def __post_init__(self):
+        # float tuples, so that the function hashes (energy is memoized on it)
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
+        if self.center2 is not None:
+            object.__setattr__(self, "center2", tuple(map(float, self.center2)))
         if self.kind not in ("gaussian", "bump", "product", "hardy_profile"):
             raise DomainError(f"unknown test-function kind {self.kind!r}")
         if self.kind == "product" and (self.center2 is None or self.scale2 is None):
@@ -254,8 +260,12 @@ def _hankel_transform(f: TestFunction, rho: np.ndarray) -> np.ndarray:
         return 2.0 * pi * s * s * np.exp(-0.5 * (rho * s) ** 2)
     R = f.support_radius
     r, w = _oscillation_grid(1e-7 * R, R, float(np.max(rho)))
-    g = f.radial_profile(r)
-    return 2.0 * pi * (j0(rho[:, None] * r[None, :]) @ (w * r * g))
+    v = w * r * f.radial_profile(r)
+    out = np.empty(len(rho))
+    for i in range(0, len(rho), _HANKEL_ROWS):
+        block = slice(i, i + _HANKEL_ROWS)
+        out[block] = j0(rho[block, None] * r[None, :]) @ v
+    return 2.0 * pi * out
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +295,18 @@ def energy(f: TestFunction, params: ModelParams, route: str = "auto") -> FormVal
     form for Gaussians and Hankel quadrature for radial functions;
     "direct_double" via the autocorrelation C(w) = int f(x) f(x+w) dx, which
     is closed-form for Gaussians and FFT-computed otherwise.
+
+    E[f] does not depend on kappa: it is computed once per (f, d, alpha,
+    route) in a process.
     """
-    d, alpha = params.d, params.alpha
     if route == "auto":
         route = "fourier_side" if (f.kind == "gaussian" or f.is_radial) \
             else "direct_double"
+    return _energy(f, params.d, params.alpha, route)
+
+
+@lru_cache(maxsize=128)
+def _energy(f: TestFunction, d: int, alpha: float, route: str) -> FormValue:
     if route == "fourier_side":
         if f.kind == "gaussian":
             s = f.scale
@@ -481,26 +498,24 @@ def _h_weight_constant(delta: float, alpha: float, d: int) -> float:
 
 def check_hardy(f: TestFunction, params: ModelParams) -> CheckResult:
     """Nonnegativity of E[f] - kappa_star int f^2 |x|^{-alpha} dx."""
-    t0 = time.time()
     d, alpha = params.d, params.alpha
     ks = kappa_star(d, alpha)
     e = energy(f, params)
     rhs = ks * weighted_l2(f, alpha, d)
     gap = e.value - rhs
     defect = max(0.0, -gap) / max(e.value, 1e-300)
-    return make_result("hardy_inequality", defect, 1e-6, t0,
-                       energy=e.value, weighted_mass_side=rhs, gap=gap)
+    return make_result("hardy_inequality", defect, 1e-6, energy=e.value,
+                       weighted_mass_side=rhs, gap=gap)
 
 
 def check_form_identity(f: TestFunction, params: ModelParams) -> CheckResult:
     """Defect of conditioned_form = E[f] - int f^2 q, q = kappa |x|^{-alpha}."""
-    t0 = time.time()
     e = energy(f, params)
     bar = bar_energy(f, params)
     pot = params.kappa * weighted_l2(f, params.alpha, params.d)
     defect = abs(bar.value - (e.value - pot)) / max(e.value, 1.0)
-    return make_result("form_identity", defect, 1e-3, t0,
-                       bar_energy=bar.value, energy=e.value, potential_term=pot)
+    return make_result("form_identity", defect, 1e-3, bar_energy=bar.value,
+                       energy=e.value, potential_term=pot)
 
 
 def near_optimizer_gaps(ns, params: ModelParams) -> list:

@@ -88,6 +88,24 @@ def stable_increments(rng: np.random.Generator, n: int, d: int, h: float,
     return np.sqrt(2.0 * s)[:, None] * z
 
 
+def _radius(x: np.ndarray) -> np.ndarray:
+    """|x| of each row, summed column by column: the bits of
+    np.sqrt(np.sum(x * x, axis=1)) in a fraction of its time."""
+    sq = x[:, 0] * x[:, 0]
+    for k in range(1, x.shape[1]):
+        sq += x[:, k] * x[:, k]
+    return np.sqrt(sq)
+
+
+def _step(rng: np.random.Generator, x: np.ndarray, r0: np.ndarray, h: float,
+          alpha: float):
+    """One unsplit step of the paths x at radii r0 (floored at 1e-300): (new
+    positions, trapezoid of |X|^{-alpha} over the step)."""
+    xn = x + stable_increments(rng, len(x), x.shape[1], h, alpha)
+    r1 = np.maximum(_radius(xn), 1e-300)
+    return xn, 0.5 * h * (r0 ** -alpha + r1 ** -alpha)
+
+
 def _advance(rng: np.random.Generator, x: np.ndarray, h: float, level: int,
              alpha: float):
     """Advance all paths by time h; returns (new positions, functional increment).
@@ -99,27 +117,20 @@ def _advance(rng: np.random.Generator, x: np.ndarray, h: float, level: int,
     time over which the process moves a distance r), which bounds the depth
     for paths merely hovering near the boundary of the sub-step region.
     """
-    n, d = x.shape
-    out = np.empty_like(x)
-    a_inc = np.empty(n)
-    r = np.sqrt(np.sum(x * x, axis=1))
+    r = np.maximum(_radius(x), 1e-300)
     split = ((r < _SUBSTEP_RADIUS) & (level < _MAX_SUBSTEP_LEVELS)
-             & (h > 0.25 * np.maximum(r, 1e-300) ** alpha))
-    if np.any(split):
-        xs = x[split]
-        xs, a1 = _advance(rng, xs, 0.5 * h, level + 1, alpha)
-        xs, a2 = _advance(rng, xs, 0.5 * h, level + 1, alpha)
-        out[split] = xs
-        a_inc[split] = a1 + a2
+             & (h > 0.25 * r ** alpha))
+    if not split.any():
+        return _step(rng, x, r, h, alpha)
+    out = np.empty_like(x)
+    a_inc = np.empty(len(x))
+    xs, a1 = _advance(rng, x[split], 0.5 * h, level + 1, alpha)
+    xs, a2 = _advance(rng, xs, 0.5 * h, level + 1, alpha)
+    out[split] = xs
+    a_inc[split] = a1 + a2
     keep = ~split
-    m = int(np.count_nonzero(keep))
-    if m:
-        xi = x[keep]
-        xn = xi + stable_increments(rng, m, d, h, alpha)
-        r0 = np.maximum(np.sqrt(np.sum(xi * xi, axis=1)), 1e-300)
-        r1 = np.maximum(np.sqrt(np.sum(xn * xn, axis=1)), 1e-300)
-        a_inc[keep] = 0.5 * h * (r0 ** -alpha + r1 ** -alpha)
-        out[keep] = xn
+    if keep.any():
+        out[keep], a_inc[keep] = _step(rng, x[keep], r[keep], h, alpha)
     return out, a_inc
 
 
@@ -146,7 +157,7 @@ def _run_paths(x, t: float, params: ModelParams, cfg: McConfig,
         X, inc = _advance(rng, X, h, 0, alpha)
         A += inc
         if ti is not None:
-            r = np.maximum(np.sqrt(np.sum(X * X, axis=1)), 1e-300)
+            r = np.maximum(_radius(X), 1e-300)
             cur = np.exp(np.minimum(params.kappa * A, log_cap)) * r ** -g
             ti += 0.5 * h * (prev + cur)
             prev = cur
@@ -159,7 +170,7 @@ def _capped_payoff(X: np.ndarray, A: np.ndarray, beta: float,
     the mask of capped paths)."""
     log_cap = log(_WEIGHT_CAP)
     expo = params.kappa * A
-    r = np.maximum(np.sqrt(np.sum(X * X, axis=1)), 1e-300)
+    r = np.maximum(_radius(X), 1e-300)
     return np.exp(np.minimum(expo, log_cap)) * r ** -beta, expo > log_cap
 
 

@@ -114,7 +114,10 @@ def _small_r_series(r: float, d: int, alpha: float, tol: float):
 
 
 def _tail_series(r: float, d: int, alpha: float, tol: float):
-    """Series in r^{-alpha}; convergent for alpha < 1, asymptotic otherwise."""
+    """Series in r^{-alpha}; convergent for alpha < 1, asymptotic otherwise.
+
+    The error is the magnitude of the term at which the sum stops, floored
+    at the sum's rounding: far out in the tail that term underflows to 0."""
     if r <= 0.0:
         return None
     total = 0.0
@@ -135,13 +138,15 @@ def _tail_series(r: float, d: int, alpha: float, tol: float):
         term = ((-1.0) ** (k + 1)) * mag * s
         if k > 2 and mag > prev_mag:
             if prev_mag < tol * abs(total) and total > 0:
-                return total * pi ** (-d / 2.0), prev_mag * pi ** (-d / 2.0)
+                err = max(prev_mag, 1e-16 * total)
+                return total * pi ** (-d / 2.0), err * pi ** (-d / 2.0)
             return None
         total += term
         if k > 1 and mag < tol * abs(total):
             if total <= 0.0:
                 return None
-            return total * pi ** (-d / 2.0), mag * pi ** (-d / 2.0)
+            err = max(mag, 1e-16 * total)
+            return total * pi ** (-d / 2.0), err * pi ** (-d / 2.0)
         prev_mag = mag
     return None
 

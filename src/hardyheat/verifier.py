@@ -9,7 +9,6 @@ by iterating the series operator on a deep radial grid.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from math import log, pi
 
@@ -93,7 +92,6 @@ def _free_convolution(s: float, t: float, x, y, d: int, alpha: float) -> float:
 def check_chapman_kolmogorov(s: float, t: float, x, y, params: ModelParams,
                              cfg: QuadratureConfig | None = None) -> CheckResult:
     """Relative defect of int p~(s,x,z) p~(t,z,y) dz = p~(s+t,x,y)."""
-    t0 = time.time()
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("Chapman-Kolmogorov requires a finite kernel")
     if params.d != 2:
@@ -104,8 +102,7 @@ def check_chapman_kolmogorov(s: float, t: float, x, y, params: ModelParams,
         lhs = _free_convolution(s, t, x, y, params.d, params.alpha)
         rhs = kernel_t(s + t, float(np.hypot(*(x - y))), params.d, params.alpha)
         defect = abs(lhs - rhs) / rhs
-        return make_result("chapman_kolmogorov", defect, 1e-6, t0,
-                           lhs=lhs, rhs=rhs)
+        return make_result("chapman_kolmogorov", defect, 1e-6, lhs=lhs, rhs=rhs)
     cfg = cfg or QuadratureConfig()
     eng_a = _get_engine(params, t, y, cfg)      # p~(t, z, y) on grid A
     eng_b = _get_engine(params, s, x, cfg)      # p~(s, x, z) via symmetry
@@ -133,7 +130,7 @@ def check_chapman_kolmogorov(s: float, t: float, x, y, params: ModelParams,
     eng_c = _get_engine(params, s + t, y, cfg)
     rhs = eng_c.value_at(x).value
     defect = abs(lhs - rhs) / rhs
-    return make_result("chapman_kolmogorov", defect, 1e-2, t0, lhs=lhs, rhs=rhs)
+    return make_result("chapman_kolmogorov", defect, 1e-2, lhs=lhs, rhs=rhs)
 
 
 def _polar_points(r, th, center=(0.0, 0.0)) -> np.ndarray:
@@ -191,7 +188,6 @@ def check_supermedian(t: float, x, params: ModelParams,
                       cfg: QuadratureConfig | None = None) -> CheckResult:
     """Equality int p~(t,x,y)|y|^{-delta} dy = |x|^{-delta} (and never above),
     by the weighted-mass engine."""
-    t0 = time.time()
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("supermedian checks require a finite kernel")
     rx = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
@@ -206,7 +202,7 @@ def check_supermedian(t: float, x, params: ModelParams,
     details = {"quadrature": lhs, "target": target}
     # the one-sided (supermedian) inequality with the quadrature error margin
     violated = lhs > target * (1.0 + 3.0 * tol)
-    res = make_result("supermedian_equality", defect, tol, t0, **details)
+    res = make_result("supermedian_equality", defect, tol, **details)
     if violated and res.status == "pass":
         res = replace(res, status="fail")
     return res
@@ -222,7 +218,6 @@ def check_H_supermedian(t: float, x, params: ModelParams,
     when the scan is finite and its minimum is at most the supermedian
     tolerance below 1, which two inconsistent engines can miss.
     """
-    t0 = time.time()
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("supermedian checks require a finite kernel")
     alpha, delta = params.alpha, params.delta
@@ -243,7 +238,7 @@ def check_H_supermedian(t: float, x, params: ModelParams,
     grid_min = float(np.min(grid_ratio))
     r1 = float(ratio(t, np.array([rx]))[0])
     defect = max(0.0, 1.0 - grid_min) if np.isfinite(m_plus_1) else np.inf
-    return make_result("H_supermedian", defect, 5e-3, t0,
+    return make_result("H_supermedian", defect, 5e-3,
                        empirical_M=m_plus_1 - 1.0, ratio_at_x=r1,
                        grid_max=m_plus_1, grid_min=grid_min)
 
@@ -255,7 +250,6 @@ def check_invariance(beta: float, t: float, x, params: ModelParams,
     LHS = int p~(t,x,y)|y|^{-beta} dy; RHS = |x|^{-beta}
     + (kappa - kappa_beta) int_0^t int p~(s,x,y)|y|^{-beta-alpha} dy ds.
     """
-    t0 = time.time()
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("invariance checks require a finite kernel")
     d, alpha = params.d, params.alpha
@@ -270,7 +264,7 @@ def check_invariance(beta: float, t: float, x, params: ModelParams,
     ti = float(time_integrated_profile(eng_ta, t, np.float64(rx)))
     rhs = rx ** -beta + (params.kappa - kb) * ti
     defect = abs(lhs - rhs) / abs(rhs)
-    return make_result("invariance", defect, 1e-2, t0, lhs=lhs, rhs=rhs,
+    return make_result("invariance", defect, 1e-2, lhs=lhs, rhs=rhs,
                        beta=beta, kappa_beta=kb)
 
 
@@ -421,7 +415,6 @@ def continuity_scan(params: ModelParams,
     (every second node) the maximum jump must be larger than on the fine
     grid, as it is for any continuous function sampled at half the spacing.
     """
-    t0 = time.time()
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("continuity diagnostics require a finite kernel")
     cfg = cfg or QuadratureConfig()
@@ -442,5 +435,5 @@ def continuity_scan(params: ModelParams,
     fine = max_jump(norm)
     coarse = max_jump(norm[::2, ::2])
     defect = fine / max(coarse, 1e-300)
-    return make_result("continuity", defect, 1.0, t0, warn_only=True,
+    return make_result("continuity", defect, 1.0, warn_only=True,
                        fine_jump=fine, coarse_jump=coarse)

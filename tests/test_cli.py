@@ -230,6 +230,18 @@ def test_kernel_far_tail(runner):
     assert values[2] == pytest.approx(levy_constant(2, 1.5) * 1e-200, rel=1e-6)
 
 
+def test_kernel_tail_series_error_is_positive(runner):
+    # the tail series' last term underflows to 0 here; the error is floored
+    # at the rounding of the value instead
+    res = runner.invoke(main, ["kernel", "--alpha", "1.5", "--d", "3",
+                               "--t", "1e-100", "--x", "1,0,0",
+                               "--y", "0,0,0"])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["value"] == 1.1905056737671743e-101
+    assert 0.0 < doc["abs_error"] <= 1e-15 * doc["value"]
+
+
 @pytest.mark.slow
 def test_verify_invariance_in_three_dimensions(runner, monkeypatch):
     # a private engine cache, so that the two d = 3 engines evict none of the

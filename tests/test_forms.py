@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hardyheat import forms
 from hardyheat.errors import DomainError
 from hardyheat.forms import (
     TestFunction,
@@ -118,6 +119,43 @@ def test_near_optimizer_gaps_decrease(ref_critical):
     gaps = near_optimizer_gaps((2, 4, 8), ref_critical)
     assert all(g > 0.0 for g in gaps)
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_near_optimizer_gaps_are_pinned(ref_critical):
+    # the Hankel product runs in row blocks; its bits are those of one product
+    gaps = near_optimizer_gaps((2, 4, 8), ref_critical)
+    expected = [0.766963580207698, 0.6632923025416984, 0.5825702258138893]
+    assert gaps == pytest.approx(expected, rel=1e-13)
+
+
+def test_energy_is_computed_once_per_function(monkeypatch, ref_critical,
+                                              ref_subcritical):
+    # a non-radial bump: its energy comes from the FFT autocorrelation
+    f = next(f for f in load_corpus()
+             if f.kind != "gaussian" and not f.is_radial)
+    calls = []
+    real = forms._fft_autocorrelation
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(forms, "_fft_autocorrelation", counted)
+    forms._energy.cache_clear()
+    check_hardy(f, ref_critical)
+    for p in (ref_critical, ref_subcritical):
+        check_form_identity(f, p)
+    assert calls == [f]
+
+
+def test_test_function_is_hashable():
+    f = TestFunction(kind="gaussian", center=[0, 0], scale=1)
+    assert f.center == (0.0, 0.0)
+    assert hash(f) == hash(GAUSS) and f == GAUSS
+    g = TestFunction(kind="product", center=[1, 0], scale=1.0,
+                     center2=np.array([2.0, 0.0]), scale2=0.5)
+    assert g.center2 == (2.0, 0.0)
+    hash(g)
 
 
 def test_near_optimizer_is_radial():

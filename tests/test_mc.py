@@ -6,12 +6,15 @@ import pytest
 from hardyheat.errors import DomainError
 from hardyheat.mc_oracle import (
     McConfig,
+    McEstimate,
+    _radius,
     feynman_kac,
     fk_invariance_defect,
     make_rng,
     stable_increments,
     subordinator_increments,
 )
+from hardyheat.params import ModelParams
 from hardyheat.stable_kernel import weighted_mass
 
 
@@ -86,3 +89,24 @@ def test_config_validation():
         McConfig(n_paths=0)
     with pytest.raises(DomainError):
         McConfig(n_steps=0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radius_matches_row_norm_bitwise(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((5001, d)) * np.exp(rng.uniform(-30, 30, (5001, d)))
+    assert np.array_equal(_radius(x), np.sqrt(np.sum(x * x, axis=1)))
+
+
+def test_seeded_estimates_are_pinned():
+    # from x = (0.05, 0) some calls of the recursion split paths and some do
+    # not; both branches must keep the generator's stream and every bit
+    p = ModelParams.from_kappa(2, 1.0, 0.1)
+    cfg = McConfig(n_paths=2000, n_steps=40, seed=7)
+    assert feynman_kac((0.05, 0.0), 1.0, p.delta, p, cfg) == McEstimate(
+        mean=1.4298440227675677, std_error=0.014886259746409142,
+        ess=1643.8258095333624, capped_fraction=0.0)
+    assert fk_invariance_defect((0.05, 0.0), 1.0, 0.25 * p.delta, p,
+                                cfg) == McEstimate(
+        mean=-0.0024857178431248635, std_error=0.004383200608461205,
+        ess=528.9010101137881, capped_fraction=0.0)

@@ -86,6 +86,32 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def test_every_lru_cache_is_bounded():
+    """Every functools.lru_cache in the package has an integer maxsize, so
+    that no memo grows without bound."""
+    unbounded = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                target = call.func if call else dec
+                name = (target.attr if isinstance(target, ast.Attribute)
+                        else getattr(target, "id", None))
+                if name not in ("lru_cache", "cache"):
+                    continue
+                size = None
+                if call is not None:
+                    args = list(call.args[:1]) + [k.value for k in call.keywords
+                                                  if k.arg == "maxsize"]
+                    size = args[0] if args else None
+                if not (isinstance(size, ast.Constant)
+                        and type(size.value) is int):
+                    unbounded.append((path.stem, node.name))
+    assert unbounded == []
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="reads the thread count from /proc/self/status")
 def test_hardyheat_threads_caps_blas_threads():
