@@ -14,7 +14,6 @@ if os.environ.get("HARDYHEAT_THREADS"):
     os.environ.setdefault("OMP_NUM_THREADS", os.environ["HARDYHEAT_THREADS"])
 
 from .errors import (
-    BudgetExceededError,
     DivergenceError,
     DomainError,
     HardyHeatError,
@@ -53,7 +52,6 @@ from .forms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError",
     "DivergenceError",
     "DomainError",
     "HardyHeatError",

@@ -46,6 +46,7 @@ from .stable_kernel import (
 
 _SIGMA_PER_PANEL = 6      # Gauss points per time panel of the radial engine
 _SIGMA_EDGE = 1e-8        # its relative refinement depth at the time endpoints
+_RADIAL_R_MAX = 1e3       # outer radius of the radial engine's grid
 _PLANAR_R_MIN, _PLANAR_R_MAX = 1e-3, 3e2   # radial extent of the planar grid
 
 
@@ -58,7 +59,6 @@ class QuadratureConfig:
                                   # is integrated by an exact power-law substitution
     time_subdivisions: int = 16   # time-grid points of the pointwise engine
     max_terms: int = 60
-    r_max: float = 1e3
     radial_per_decade: int = 3    # log panels per decade (8 Gauss points each)
     n_angular: int = 32           # angular grid of the pointwise engine (d = 2)
     sigma_per_decade: float = 2.0  # time-quadrature panels per decade
@@ -184,20 +184,20 @@ class RadialWeightedEngine:
     the series is then summed by sweeps or by solving (I - K) F = phi_0.
     """
 
-    def __init__(self, params: ModelParams, beta: float, cfg: QuadratureConfig | None = None):
+    def __init__(self, params: ModelParams, beta: float,
+                 cfg: QuadratureConfig = QuadratureConfig()):
         if not (0.0 <= beta < params.d):
             raise DomainError(f"beta must lie in [0, d), got {beta}")
         self.params = params
         self.beta = float(beta)
-        self.cfg = cfg or QuadratureConfig()
+        self.cfg = cfg
         d, alpha = params.d, params.alpha
-        c = self.cfg
         self.r_grid, self.r_weights = log_panel_nodes(
-            c.eps0, c.r_max, n_per_panel=8, per_decade=c.radial_per_decade
+            cfg.eps0, _RADIAL_R_MAX, n_per_panel=8, per_decade=cfg.radial_per_decade
         )
         self.s_nodes, self.s_weights = refined_unit_nodes(
             n_per_panel=_SIGMA_PER_PANEL, edge_ratio=_SIGMA_EDGE,
-            per_decade=c.sigma_per_decade,
+            per_decade=cfg.sigma_per_decade,
         )
         # inner-ring extrapolation exponent: the solution behaves like
         # r^{-max(beta, delta)} at the origin
@@ -233,7 +233,7 @@ class RadialWeightedEngine:
             # resolved rows are rescaled to the exact mass (1 minus the ring
             # masses outside the grid), removing the leading quadrature error
             mass_in = area * (th_in @ (w_in * a_in ** (d - 1)))
-            mass_out = area * s * a_levy * self.cfg.r_max ** (-alpha) / alpha
+            mass_out = area * s * a_levy * _RADIAL_R_MAX ** (-alpha) / alpha
             lam, scale = _resolution_blend(r, s, alpha, 1.0 - mass_in - mass_out, mass)
             theta = theta * scale[:, None]
             mass = mass * scale
@@ -250,7 +250,7 @@ class RadialWeightedEngine:
             expo_out = 1.0 + 2.0 * alpha + beta
             ring_out = (
                 area * s * a_levy * pref * r[-1] ** beta * cs ** (-beta)
-                * self.cfg.r_max ** (-expo_out + 1.0) / (expo_out - 1.0)
+                * _RADIAL_R_MAX ** (-expo_out + 1.0) / (expo_out - 1.0)
             )
             K[:, -1] += (kappa * ws) * ring_out
         return K
@@ -285,17 +285,14 @@ class RadialWeightedEngine:
         return F
 
 
-def time_integrated_profile(engine: RadialWeightedEngine, t: float, radius):
+def time_integrated_profile(engine: RadialWeightedEngine, t: float,
+                            radius: float) -> float:
     """int_0^t F_beta(s, x) ds at |x| = radius, from the engine's t=1 profile."""
     F = engine.evaluator()
-    radius = np.asarray(radius, dtype=float)
     s_lo = 1e-7 * t
     xs, ws = log_panel_nodes(s_lo, t, n_per_panel=12, per_decade=4)
-    vals = F(xs[:, None], radius[None, :]) if radius.ndim else F(xs, radius)
-    out = np.sum(ws[:, None] * vals, axis=0) if radius.ndim else float(np.sum(ws * vals))
     # left endpoint: F(s, x) -> |x|^{-beta} as s -> 0 for x != 0
-    out = out + radius ** (-engine.beta) * s_lo
-    return out
+    return float(np.sum(ws * F(xs, radius))) + radius ** (-engine.beta) * s_lo
 
 
 # ---------------------------------------------------------------------------
@@ -313,28 +310,28 @@ class PlanarKernelEngine:
     normalization where it is resolved.
     """
 
-    def __init__(self, params: ModelParams, t: float, y, cfg: QuadratureConfig | None = None):
+    def __init__(self, params: ModelParams, t: float, y,
+                 cfg: QuadratureConfig = QuadratureConfig()):
         if params.d != 2:
             raise DomainError("the pointwise grid engine supports d = 2 only")
         if t <= 0.0:
             raise DomainError(f"t must be positive, got {t}")
         self.params = params
-        self.cfg = cfg or QuadratureConfig()
+        self.cfg = cfg
         self.t = float(t)
         y = _as_point(y)
         self.ry = float(np.hypot(y[0], y[1]))
         self.y_angle = float(np.arctan2(y[1], y[0]))
         if self.ry <= 0.0:
             raise DomainError("y must be nonzero")
-        c = self.cfg
         self.r_min, self.r_max = _PLANAR_R_MIN, _PLANAR_R_MAX
         self.r_grid, self.r_weights = log_panel_nodes(
-            self.r_min, self.r_max, n_per_panel=8, per_decade=c.radial_per_decade
+            self.r_min, self.r_max, n_per_panel=8, per_decade=cfg.radial_per_decade
         )
-        self.n_theta = c.n_angular
+        self.n_theta = cfg.n_angular
         self.theta = 2.0 * pi * np.arange(self.n_theta) / self.n_theta
         self.w_theta = 2.0 * pi / self.n_theta
-        nt = c.time_subdivisions
+        nt = cfg.time_subdivisions
         self.tau = t * np.geomspace(1e-2, 1.0, nt)
         self.v_nodes, self.v_weights = refined_unit_nodes(
             n_per_panel=5, edge_ratio=1e-4, per_decade=1.2
@@ -608,9 +605,8 @@ _RADIAL_CACHE_MAX = 10
 
 
 def _get_engine(params: ModelParams, t: float, y,
-                cfg: QuadratureConfig | None) -> PlanarKernelEngine:
+                cfg: QuadratureConfig = QuadratureConfig()) -> PlanarKernelEngine:
     """Pointwise engine centered at y, cached across wrapper calls."""
-    cfg = cfg or QuadratureConfig()
     y = _as_point(y)
     key = (params.d, params.alpha, params.kappa, float(t), float(y[0]), float(y[1]), cfg)
     return _cached(_ENGINE_CACHE, _ENGINE_CACHE_MAX, key,
@@ -618,38 +614,15 @@ def _get_engine(params: ModelParams, t: float, y,
 
 
 def get_radial_engine(params: ModelParams, beta: float,
-                      cfg: QuadratureConfig | None = None) -> RadialWeightedEngine:
+                      cfg: QuadratureConfig = QuadratureConfig()) -> RadialWeightedEngine:
     """Weighted-mass engine for (params, beta), cached across calls."""
-    cfg = cfg or QuadratureConfig()
     key = (params.d, params.alpha, params.kappa, float(beta), cfg)
     return _cached(_RADIAL_CACHE, _RADIAL_CACHE_MAX, key,
                    lambda: RadialWeightedEngine(params, beta, cfg))
 
 
-def perturbation_term(n: int, t: float, x, y, params: ModelParams,
-                      cfg: QuadratureConfig | None = None) -> KernelValue:
-    """n-th term of the perturbation series at (t, x, y).
-
-    The zeroth term is the free kernel (exact); higher terms are read off the
-    grid sweep p_{n} = K p_{n-1} of the pointwise engine.
-    """
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    x, y = _as_point(x), _as_point(y)
-    if n == 0:
-        return free_kernel(t, x - y, params.d, params.alpha)
-    if params.kappa == 0.0:
-        return KernelValue(0.0, 0.0, Method.SERIES)
-    eng = _get_engine(params, t, y, cfg)
-    term = eng.terms(n)[n]
-    val = float(eng._value_from_grid(term[-1], x))
-    return KernelValue(val, max(eng.cfg.rel_tol, 2e-2) * val, Method.SERIES)
-
-
 def tilde_p(t: float, x, y, params: ModelParams,
-            cfg: QuadratureConfig | None = None) -> SeriesState:
+            cfg: QuadratureConfig = QuadratureConfig()) -> SeriesState:
     """Partial sums of the perturbed kernel at (t, x, y).
 
     Stops once the increments decay geometrically with quotient below one and
@@ -663,7 +636,6 @@ def tilde_p(t: float, x, y, params: ModelParams,
     if not 0.0 < t < np.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     x, y = _as_point(x), _as_point(y)
-    cfg = cfg or QuadratureConfig()
     d, alpha, kappa = params.d, params.alpha, params.kappa
     p0 = free_kernel(t, x - y, d, alpha).value
     terms = [p0]
@@ -691,8 +663,7 @@ def tilde_p(t: float, x, y, params: ModelParams,
     return SeriesState(terms=terms, tail_bound=tail, converged=converged)
 
 
-def tilde_p_fixed_point(t: float, x, y_grid, params: ModelParams,
-                        cfg: QuadratureConfig | None = None) -> list:
+def tilde_p_fixed_point(t: float, x, y_grid, params: ModelParams) -> list:
     """Perturbed kernel at (t, x, y) for every y in y_grid, fixed-point route.
 
     One engine is centered at x; the kernel's symmetry turns each requested y
@@ -701,7 +672,7 @@ def tilde_p_fixed_point(t: float, x, y_grid, params: ModelParams,
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("the fixed point requires a subcritical or critical coupling")
     x = _as_point(x)
-    eng = _get_engine(params, t, x, cfg)
+    eng = _get_engine(params, t, x)
     return [eng.value_at(y) for y in y_grid]
 
 

@@ -13,10 +13,6 @@ class QuadratureError(HardyHeatError):
     """A quadrature did not converge to the requested tolerance."""
 
 
-class BudgetExceededError(HardyHeatError):
-    """Adaptive refinement exhausted its work budget."""
-
-
 class DivergenceError(HardyHeatError):
     """An iteration diverged (expected for supercritical couplings)."""
 

@@ -24,7 +24,7 @@ from scipy.special import hyp2f1, j0
 
 from .errors import DomainError
 from .params import ModelParams, kappa_star
-from .quadrature import log_panel_nodes, panel_nodes
+from .quadrature import composite_nodes, log_panel_nodes, panel_nodes
 from .results import CheckResult, make_result
 from .stable_kernel import levy_constant, sphere_area
 
@@ -236,13 +236,8 @@ def _oscillation_grid(lo: float, hi: float, freq: float):
     if switch >= hi:
         return r1, w1
     n_panels = max(8, int(np.ceil((hi - switch) * freq / (2.0 * pi) * 2.0)))
-    edges = np.linspace(switch, hi, n_panels + 1)
-    xs, ws = [r1], [w1]
-    for a, b in zip(edges[:-1], edges[1:]):
-        x2, w2 = panel_nodes(a, b, 6)
-        xs.append(x2)
-        ws.append(w2)
-    return np.concatenate(xs), np.concatenate(ws)
+    r2, w2 = composite_nodes(np.linspace(switch, hi, n_panels + 1), 6)
+    return np.concatenate([r1, r2]), np.concatenate([w1, w2])
 
 
 def _fourier_grid(f: TestFunction):
@@ -360,15 +355,9 @@ def _fft_autocorrelation(f: TestFunction):
     r_valid = 0.9 * L
 
     def corr(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty(len(r))
-        for i, ri in enumerate(r):
-            if ri > r_valid:
-                out[i] = 0.0
-            else:
-                out[i] = float(np.sum(spl(ri * cth, ri * sth, grid=False))) \
-                    * (2.0 * pi / n_th)
-        return out
+        r = np.atleast_1d(np.asarray(r, dtype=float))[:, None]
+        ring = np.sum(spl(r * cth, r * sth, grid=False), axis=1)
+        return np.where(r[:, 0] > r_valid, 0.0, ring * (2.0 * pi / n_th))
 
     return corr, E2, r_valid
 
@@ -394,17 +383,10 @@ def _radial_l2_grid(f: TestFunction):
     if lo_ann <= 1e-6 * R:
         r, w = log_panel_nodes(1e-8 * R, R, n_per_panel=10, per_decade=5)
         return r, w, 96
-    rs, ws = [], []
     r1, w1 = log_panel_nodes(1e-8 * R, lo_ann, n_per_panel=8, per_decade=4)
-    rs.append(r1)
-    ws.append(w1)
-    edges = np.linspace(lo_ann, rc + hw, 17)
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = panel_nodes(a, b, 8)
-        rs.append(x)
-        ws.append(w)
+    r2, w2 = composite_nodes(np.linspace(lo_ann, rc + hw, 17), 8)
     n_th = int(min(1024, max(96, 24.0 * (rc + hw) / hw)))
-    return np.concatenate(rs), np.concatenate(ws), n_th
+    return np.concatenate([r1, r2]), np.concatenate([w1, w2]), n_th
 
 
 def weighted_l2(f: TestFunction, gamma: float, d: int = 2) -> float:

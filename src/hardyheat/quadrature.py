@@ -27,15 +27,19 @@ def log_panels(a: float, b: float, per_decade: int = 2):
     return np.geomspace(a, b, n + 1)
 
 
+def composite_nodes(edges, n: int):
+    """Composite n-point Gauss-Legendre rule on the panels between
+    consecutive edges; per panel the nodes and weights of panel_nodes."""
+    edges = np.asarray(edges, dtype=float)
+    x, w = gauss_legendre(n)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
 def log_panel_nodes(a: float, b: float, n_per_panel: int = 16, per_decade: int = 2):
     """Composite Gauss rule on geometrically spaced panels of [a, b]."""
-    edges = log_panels(a, b, per_decade)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = panel_nodes(lo, hi, n_per_panel)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    return composite_nodes(log_panels(a, b, per_decade), n_per_panel)
 
 
 def refined_unit_nodes(n_per_panel: int = 8, edge_ratio: float = 1e-4,
@@ -47,13 +51,7 @@ def refined_unit_nodes(n_per_panel: int = 8, edge_ratio: float = 1e-4,
     n_half = max(2, int(np.ceil(np.log10(0.5 / edge_ratio) * per_decade)))
     half = np.geomspace(edge_ratio, 0.5, n_half + 1)
     edges = np.concatenate([[0.0], half, 1.0 - half[::-1][1:], [1.0]])
-    edges = np.unique(edges)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = panel_nodes(lo, hi, n_per_panel)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    return composite_nodes(np.unique(edges), n_per_panel)
 
 
 @lru_cache(maxsize=64)

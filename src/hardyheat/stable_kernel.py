@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gamma as _gamma
-from math import inf, isfinite, lgamma, log, pi, sin
+from math import exp, inf, isfinite, lgamma, log, pi, sin
 from sys import float_info
 
 import numpy as np
 from scipy.special import jv
 
 from .errors import DomainError, QuadratureError
+from .params import _check_alpha
 from .quadrature import log_panel_nodes, panel_nodes, sphere_angle_rule
 
 _ALPHA_ONE_TOL = 1e-12
@@ -33,12 +34,12 @@ _SERIES_TOL = 1e-10     # relative truncation tolerance of the p_1 series
 _ANGULAR_NODES = 32     # angular nodes of the spherical mean
 _BLOCK_ROWS = 2048      # rows of angular nodes per kernel evaluation (0.5 MB)
 _LOG_TINY = log(float_info.min)   # log of the smallest normal float
+_LOG_HUGE = log(float_info.max)   # log of the largest float
 
 
 class Method(Enum):
     CLOSED_FORM = "closed_form"
     FOURIER_INVERSION = "fourier_inversion"
-    SERIES = "series"
     FIXED_POINT = "fixed_point"
 
 
@@ -87,15 +88,17 @@ def _small_r_series(r: float, d: int, alpha: float, tol: float):
     """
     pref = 2.0 / (4.0 * pi) ** (d / 2.0)
     x = (r / 2.0) ** 2
+    if x == 0.0:
+        # only the j = 0 term is nonzero: exact up to rounding
+        val = pref * np.exp(lgamma(d / alpha) - lgamma(d / 2.0)) / alpha
+        return val, 1e-16 * val
     total = 0.0
     prev_term = np.inf
     max_term = 0.0
     for j in range(0, 400):
         lt = lgamma((d + 2 * j) / alpha) - lgamma(j + 1) - lgamma(d / 2.0 + j)
-        if x > 0.0 and j > 0:
+        if j > 0:
             lt += j * log(x)
-        elif x == 0.0 and j > 0:
-            break
         term = ((-1.0) ** j) * np.exp(lt) / alpha
         at = abs(term)
         if j > 2 and at > prev_term:
@@ -155,11 +158,6 @@ def _hankel_quadrature(r: float, d: int, alpha: float):
     """Direct Fourier-Hankel inversion of exp(-|xi|^alpha) at radius r."""
     nu = d / 2.0 - 1.0
     s_max = (42.0) ** (1.0 / alpha)  # exp(-s^alpha) < 1e-18 beyond this
-    if r <= 0.0:
-        xs, ws = log_panel_nodes(1e-10 * s_max, s_max, n_per_panel=20, per_decade=3)
-        integral = float(np.sum(ws * np.exp(-(xs ** alpha)) * xs ** (d - 1)))
-        val = integral * sphere_area(d) / (2.0 * pi) ** d
-        return val, 1e-13 * val
     # panel boundaries at approximate Bessel zeros (McMahon)
     first = max(1.0, nu)
     edges = [0.0]
@@ -193,12 +191,6 @@ def _hankel_quadrature(r: float, d: int, alpha: float):
             break
     val = (2.0 * pi) ** (-d / 2.0) * r ** (1.0 - d / 2.0) * total
     return val, max(abs(val) * 1e-10, 1e-18)
-
-
-def _check_alpha(d: int, alpha: float) -> None:
-    """The domain of the alpha != 1 routes: 0 < alpha < min(2, d)."""
-    if not (0.0 < alpha < min(2.0, d) or (0.0 < alpha < 2.0 and alpha < d)):
-        raise DomainError(f"alpha must lie in (0, min(2, d)), got alpha={alpha}, d={d}")
 
 
 def _in_far_tail(r: float, d: int, alpha: float) -> bool:
@@ -286,34 +278,54 @@ def kernel_t(t, r, d: int, alpha: float):
 
 
 def free_kernel(t: float, x, d: int, alpha: float) -> KernelValue:
-    """The free heat kernel p_t(x) with provenance and error estimate."""
+    """The free heat kernel p_t(x) with provenance and error estimate.
+
+    Raises DomainError when p_t(x) is not a finite float; the scale factor
+    t^{-d/alpha} alone may overflow where the value does not.
+    """
     if not 0.0 < t < np.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     r = float(np.linalg.norm(x)) if np.ndim(x) else float(abs(x))
     cauchy = is_cauchy(alpha)
-    expo = -d if cauchy else -d / alpha
-    try:
-        s = t ** expo
-    except OverflowError:
-        s = inf
-    if not isfinite(s):
-        raise DomainError(f"t = {t:g} is too small: t^{expo:g} overflows")
     if cauchy:
-        method, rho = Method.CLOSED_FORM, r / t
+        method, expo, rho = Method.CLOSED_FORM, -d, r / t
     else:
         _check_alpha(d, alpha)
-        method, rho = Method.FOURIER_INVERSION, r * t ** (-1.0 / alpha)
+        method, expo = Method.FOURIER_INVERSION, -d / alpha
+        try:
+            rho = r * t ** (-1.0 / alpha)
+        except OverflowError:          # t^{-1/alpha} is beyond any float
+            rho = inf if r > 0.0 else 0.0
     if _in_far_tail(rho, d, alpha):
         # p_1(rho) is below the smallest normal float, and the factor s cannot
         # restore its lost digits: take the leading tail term A t r^{-d-alpha},
-        # as A (t r^{-alpha}) r^{-d}, in which no power overflows
-        val = levy_constant(d, alpha) * (t * r ** -alpha) * r ** -d
-        return KernelValue(val, val * max(rho ** -alpha, 1e-16), method)
-    if cauchy:
-        val = float(s * cauchy_unit_density(rho, d))
-        return KernelValue(val, 1e-16 * val, method)
-    v, e = unit_density(rho, d, alpha)
-    return KernelValue(s * v, s * e, method)
+        # as A (t r^{-alpha}) r^{-d}, in which no power overflows unless r
+        # is tiny
+        a_levy = levy_constant(d, alpha)
+        try:
+            val = a_levy * (t * r ** -alpha) * r ** -d
+        except OverflowError:
+            val = _exp(log(a_levy) + log(t) - (d + alpha) * log(r))
+        err = val * max(rho ** -alpha, 1e-16)
+    else:
+        v, e = (float(cauchy_unit_density(rho, d)), 0.0) if cauchy \
+            else unit_density(rho, d, alpha)
+        try:
+            s = t ** expo
+            val, err = s * v, s * e
+        except OverflowError:          # s overflows, the value may not
+            val = _exp(expo * log(t) + log(v))
+            err = val * (e / v)
+        if cauchy:
+            err = 1e-16 * val
+    if not isfinite(val):
+        raise DomainError(f"t = {t:g} is too small: p_t(x) overflows")
+    return KernelValue(val, err, method)
+
+
+def _exp(x: float) -> float:
+    """exp(x), inf where it overflows."""
+    return exp(x) if x < _LOG_HUGE else inf
 
 
 def free_kernel_bound_ratio(t: float, x, d: int, alpha: float) -> float:

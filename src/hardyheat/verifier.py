@@ -19,9 +19,7 @@ from .errors import DomainError
 from .params import ModelParams, Regime, kappa_of_beta
 from .quadrature import log_panel_nodes
 from .duhamel import (
-    PlanarKernelEngine,
     QuadratureConfig,
-    RadialWeightedEngine,
     get_radial_engine,
     time_integrated_profile,
     _get_engine,
@@ -89,8 +87,8 @@ def _free_convolution(s: float, t: float, x, y, d: int, alpha: float) -> float:
     return float(np.sum((w * r)[:, None] * vals) * (2.0 * pi / n_th))
 
 
-def check_chapman_kolmogorov(s: float, t: float, x, y, params: ModelParams,
-                             cfg: QuadratureConfig | None = None) -> CheckResult:
+def check_chapman_kolmogorov(s: float, t: float, x, y,
+                             params: ModelParams) -> CheckResult:
     """Relative defect of int p~(s,x,z) p~(t,z,y) dz = p~(s+t,x,y)."""
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("Chapman-Kolmogorov requires a finite kernel")
@@ -103,9 +101,8 @@ def check_chapman_kolmogorov(s: float, t: float, x, y, params: ModelParams,
         rhs = kernel_t(s + t, float(np.hypot(*(x - y))), params.d, params.alpha)
         defect = abs(lhs - rhs) / rhs
         return make_result("chapman_kolmogorov", defect, 1e-6, lhs=lhs, rhs=rhs)
-    cfg = cfg or QuadratureConfig()
-    eng_a = _get_engine(params, t, y, cfg)      # p~(t, z, y) on grid A
-    eng_b = _get_engine(params, s, x, cfg)      # p~(s, x, z) via symmetry
+    eng_a = _get_engine(params, t, y)      # p~(t, z, y) on grid A
+    eng_b = _get_engine(params, s, x)      # p~(s, x, z) via symmetry
     Va, _, _ = eng_a.fixed_point()
     Vb, _, _ = eng_b.fixed_point()
     Va_slice = Va[-1]
@@ -127,7 +124,7 @@ def check_chapman_kolmogorov(s: float, t: float, x, y, params: ModelParams,
     q = 2.0 * delta
     lhs += (float(np.mean(Va_slice[0] * Vb_on_a[0])) * 2.0 * pi
             * r[0] ** q * eng_a.r_min ** (2.0 - q) / (2.0 - q))
-    eng_c = _get_engine(params, s + t, y, cfg)
+    eng_c = _get_engine(params, s + t, y)
     rhs = eng_c.value_at(x).value
     defect = abs(lhs - rhs) / rhs
     return make_result("chapman_kolmogorov", defect, 1e-2, lhs=lhs, rhs=rhs)
@@ -184,16 +181,14 @@ def _peaked_cross(t_free: float, c_free, eng, V_slice,
 # Supermedian / invariance identities
 
 
-def check_supermedian(t: float, x, params: ModelParams,
-                      cfg: QuadratureConfig | None = None) -> CheckResult:
+def check_supermedian(t: float, x, params: ModelParams) -> CheckResult:
     """Equality int p~(t,x,y)|y|^{-delta} dy = |x|^{-delta} (and never above),
     by the weighted-mass engine."""
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("supermedian checks require a finite kernel")
     rx = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
     delta = params.delta
-    cfg = cfg or QuadratureConfig()
-    eng = get_radial_engine(params, delta, cfg)
+    eng = get_radial_engine(params, delta)
     F = eng.evaluator()
     lhs = float(F(t, rx))
     target = rx ** -delta
@@ -209,7 +204,7 @@ def check_supermedian(t: float, x, params: ModelParams,
 
 
 def check_H_supermedian(t: float, x, params: ModelParams,
-                        cfg: QuadratureConfig | None = None) -> CheckResult:
+                        cfg: QuadratureConfig = QuadratureConfig()) -> CheckResult:
     """int p~(t,x,y) H(t,y) dy <= (M+1) H(t,x) with an empirical M.
 
     The ratio is scanned over a grid of radii (scaling reduces all t to 1).
@@ -222,7 +217,6 @@ def check_H_supermedian(t: float, x, params: ModelParams,
         raise DomainError("supermedian checks require a finite kernel")
     alpha, delta = params.alpha, params.delta
     rx = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    cfg = cfg or QuadratureConfig()
     eng_0 = get_radial_engine(params, 0.0, cfg)
     F0 = eng_0.evaluator()
     Fd = get_radial_engine(params, delta, cfg).evaluator() \
@@ -243,8 +237,8 @@ def check_H_supermedian(t: float, x, params: ModelParams,
                        grid_max=m_plus_1, grid_min=grid_min)
 
 
-def check_invariance(beta: float, t: float, x, params: ModelParams,
-                     cfg: QuadratureConfig | None = None) -> CheckResult:
+def check_invariance(beta: float, t: float, x,
+                     params: ModelParams) -> CheckResult:
     """Defect of the weighted invariance identity with the coupling correction.
 
     LHS = int p~(t,x,y)|y|^{-beta} dy; RHS = |x|^{-beta}
@@ -256,12 +250,9 @@ def check_invariance(beta: float, t: float, x, params: ModelParams,
     if not (0.0 <= beta < d - alpha):
         raise DomainError(f"beta must lie in [0, d - alpha), got {beta}")
     rx = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
-    cfg = cfg or QuadratureConfig()
     kb = kappa_of_beta(d, alpha, beta)
-    eng_lhs = get_radial_engine(params, beta, cfg)
-    lhs = float(eng_lhs.evaluator()(t, rx))
-    eng_ta = get_radial_engine(params, beta + alpha, cfg)
-    ti = float(time_integrated_profile(eng_ta, t, np.float64(rx)))
+    lhs = float(get_radial_engine(params, beta).evaluator()(t, rx))
+    ti = time_integrated_profile(get_radial_engine(params, beta + alpha), t, rx)
     rhs = rx ** -beta + (params.kappa - kb) * ti
     defect = abs(lhs - rhs) / abs(rhs)
     return make_result("invariance", defect, 1e-2, lhs=lhs, rhs=rhs,
@@ -298,8 +289,7 @@ def _scan_ratios(params: ModelParams, cfg: QuadratureConfig, radii, angles,
     return np.where(dist < 1e-6 * lam, np.nan, val / (p * hx * hy))
 
 
-def bounds_scan(params: ModelParams, cfg: QuadratureConfig | None = None,
-                refine_factor: float = 1.25) -> RatioReport:
+def bounds_scan(params: ModelParams, refine_factor: float = 1.25) -> RatioReport:
     """Comparability scan of p~ against p H(t,x) H(t,y) around y0 = (1, 0).
 
     t != 1 grids are produced by the exact scaling map (a consistency check
@@ -308,7 +298,7 @@ def bounds_scan(params: ModelParams, cfg: QuadratureConfig | None = None,
     """
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("the two-sided estimate requires a finite kernel")
-    cfg = cfg or QuadratureConfig()
+    cfg = QuadratureConfig()
     radii, angles = _SCAN_RADII, _SCAN_ANGLES
     y0 = (1.0, 0.0)
     base = _scan_ratios(params, cfg, radii, angles, y0)
@@ -351,8 +341,7 @@ def bounds_scan(params: ModelParams, cfg: QuadratureConfig | None = None,
 # Blow-up probe
 
 
-def blowup_probe(t: float, x, params: ModelParams,
-                 cfg: QuadratureConfig | None = None) -> BlowupReport:
+def blowup_probe(t: float, x, params: ModelParams) -> BlowupReport:
     """Partial-sum divergence probe of the perturbation series.
 
     The series is tracked through its weighted pairing against
@@ -369,10 +358,8 @@ def blowup_probe(t: float, x, params: ModelParams,
             "the probe is undecidable at the critical coupling; "
             "use the fixed-point evaluator instead"
         )
-    base = cfg or QuadratureConfig()
-    probe_cfg = replace(base, eps0=min(base.eps0, 1e-10), r_max=max(base.r_max, 1e3))
     beta = (params.d - params.alpha) / 2.0
-    eng = get_radial_engine(params, beta, probe_cfg)
+    eng = get_radial_engine(params, beta, QuadratureConfig(eps0=1e-10))
     rx = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
     rho = rx * t ** (-1.0 / params.alpha)   # scaling reduction to t = 1
     i = int(np.argmin(np.abs(np.log(eng.r_grid) - log(rho))))
@@ -407,8 +394,7 @@ def blowup_probe(t: float, x, params: ModelParams,
 # Continuity diagnostic
 
 
-def continuity_scan(params: ModelParams,
-                    cfg: QuadratureConfig | None = None) -> CheckResult:
+def continuity_scan(params: ModelParams) -> CheckResult:
     """Warn-only scan of normalized jumps of p~ between adjacent grid cells.
 
     Jumps are normalized by the local bound p H H; on the nested coarse grid
@@ -417,8 +403,7 @@ def continuity_scan(params: ModelParams,
     """
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("continuity diagnostics require a finite kernel")
-    cfg = cfg or QuadratureConfig()
-    eng, U = _kernel_slice(params, cfg, (1.0, 0.0))
+    eng, U = _kernel_slice(params, QuadratureConfig(), (1.0, 0.0))
     delta, alpha = params.delta, params.alpha
     r = eng.r_grid
     hy = float(H_weight(1.0, 1.0, delta, alpha))

@@ -199,8 +199,8 @@ def test_unwritable_output(runner, tmp_path):
     # the Chapman-Kolmogorov reference is planar
     ["verify", "--suite", "chapman", "--kappa", "0", "--d", "3"],
     ["kappa", "--kappa", "nan"],
-    # t^{-d/alpha} overflows a float
-    ["kernel", "--t", "1e-200", "--x", "1,0", "--y", "0,0"],
+    # p_t(0) = t^{-d/alpha} p_1(0) overflows a float
+    ["kernel", "--t", "1e-200", "--x", "0,0", "--y", "0,0"],
     # a curve too long to allocate
     ["kappa", "--curve", "100000000000"],
 ])
@@ -215,6 +215,8 @@ _FAR_TAIL = [
     ["kernel", "--t", "1e-150", "--x", "1,0", "--y", "0,0"],
     ["kernel", "--alpha", "1.5", "--t", "1", "--x", "1e100,0", "--y", "0,0"],
     ["kernel", "--alpha", "1.5", "--t", "1e-200", "--x", "1,0", "--y", "0,0"],
+    # t^{-d/alpha} overflows, the value does not
+    ["kernel", "--t", "1e-200", "--x", "1,0", "--y", "0,0"],
 ]
 
 
@@ -228,6 +230,7 @@ def test_kernel_far_tail(runner):
     assert values[0] == pytest.approx(1e-150 / (2.0 * math.pi), rel=1e-14)
     assert values[1] == 0.0
     assert values[2] == pytest.approx(levy_constant(2, 1.5) * 1e-200, rel=1e-6)
+    assert values[3] == pytest.approx(1e-200 / (2.0 * math.pi), rel=1e-14)
 
 
 def test_kernel_tail_series_error_is_positive(runner):
@@ -325,6 +328,7 @@ def _argv(draw):
 @example(argv=_FAR_TAIL[0])
 @example(argv=_FAR_TAIL[1])
 @example(argv=_FAR_TAIL[2])
+@example(argv=_FAR_TAIL[3])
 def test_cli_never_tracebacks(runner, tmp_path, argv):
     """Every exit code is in {0, 1, 2, 3}, and no run ends in a traceback."""
     if "--output" in argv:

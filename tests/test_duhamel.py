@@ -12,7 +12,6 @@ from hardyheat.duhamel import (
     QuadratureConfig,
     _get_engine,
     duhamel_residual,
-    perturbation_term,
     tilde_p,
     tilde_p_fixed_point,
 )
@@ -29,13 +28,6 @@ def test_zero_coupling_is_free_kernel(ref_free):
     assert len(st.terms) == 1
     assert st.converged
     assert st.value == pytest.approx(0.014235250868343541, rel=1e-12)
-
-
-def test_zeroth_term_is_free_kernel(ref_subcritical):
-    v = perturbation_term(0, 1.0, X, Y, ref_subcritical)
-    assert v.value == pytest.approx(0.014235250868343541, rel=1e-12)
-    with pytest.raises(DomainError):
-        perturbation_term(-1, 1.0, X, Y, ref_subcritical)
 
 
 def test_supercritical_rejected():

@@ -148,6 +148,17 @@ def test_energy_is_computed_once_per_function(monkeypatch, ref_critical,
     assert calls == [f]
 
 
+def test_autocorrelation_reads_all_rings_as_one_at_a_time():
+    # one spline call for every ring gives each ring's own bits
+    f = next(f for f in load_corpus()
+             if f.kind != "gaussian" and not f.is_radial)
+    corr, _, r_valid = forms._fft_autocorrelation(f)
+    r = np.append(np.geomspace(1e-4, r_valid, 40), 1.01 * r_valid)
+    rings = corr(r)
+    assert np.array_equal(rings, [corr(ri)[0] for ri in r])
+    assert rings[-1] == 0.0 and rings[0] > 0.0
+
+
 def test_test_function_is_hashable():
     f = TestFunction(kind="gaussian", center=[0, 0], scale=1)
     assert f.center == (0.0, 0.0)

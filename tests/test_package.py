@@ -86,6 +86,53 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+def _optional_parameters():
+    """(callable, parameter, position) for every parameter with a default in
+    the package; the callable of an __init__ is its class, and position is
+    None for keyword-only parameters and counts no self or cls."""
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {m: c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for m in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = owner[node] if node.name == "__init__" else node.name
+            a = node.args
+            pos = [p.arg for p in a.posonlyargs + a.args]
+            if pos[:1] in (["self"], ["cls"]):
+                pos = pos[1:]
+            first = len(pos) - len(a.defaults)
+            found += [(name, pos[i], i) for i in range(first, len(pos))]
+            found += [(name, p.arg, None) for p, dflt in
+                      zip(a.kwonlyargs, a.kw_defaults) if dflt is not None]
+    return found
+
+
+def test_every_optional_parameter_is_passed():
+    """Every parameter with a default is passed, by position or keyword, in
+    some call in the package, its tests or the benchmark; one that no call
+    sets is a constant."""
+    root = PKG.parents[1]
+    passed = set()
+    for path in sorted(root.glob("src/hardyheat/*.py")) \
+            + sorted(root.glob("tests/*.py")) + sorted(root.glob("perfbench/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if any(isinstance(x, ast.Starred) for x in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                passed.add((name, "*"))
+            passed.update((name, i) for i in range(len(node.args)))
+            passed.update((name, k.arg) for k in node.keywords)
+    unset = [(name, param) for name, param, i in _optional_parameters()
+             if not passed & {(name, param), (name, i), (name, "*")}]
+    assert unset == []
+
+
 def test_every_lru_cache_is_bounded():
     """Every functools.lru_cache in the package has an integer maxsize, so
     that no memo grows without bound."""

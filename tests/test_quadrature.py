@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardyheat.quadrature import (
+    composite_nodes,
     epsilon_accelerate,
     log_panel_nodes,
     panel_nodes,
@@ -27,6 +28,16 @@ def test_log_panel_nodes_power_law():
     exact = 2.0 * (1e-3 ** -0.5 - 1e2 ** -0.5)
     assert val == pytest.approx(exact, rel=1e-12)
     assert np.all(np.diff(x) > 0)
+
+
+def test_composite_nodes_are_the_panel_rules():
+    # the panels' rules side by side, bit for bit
+    for edges, n in ((np.geomspace(1e-8, 1e3, 34), 8),
+                     (np.linspace(0.5, 7.0, 17), 6)):
+        x, w = composite_nodes(edges, n)
+        ref = [panel_nodes(a, b, n) for a, b in zip(edges[:-1], edges[1:])]
+        assert np.array_equal(x, np.concatenate([r[0] for r in ref]))
+        assert np.array_equal(w, np.concatenate([r[1] for r in ref]))
 
 
 def test_refined_unit_nodes_endpoint_singularity():

@@ -1,5 +1,7 @@
 """Free stable kernel: density routes, symbol, weighted masses, identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,16 @@ def test_free_kernel_at_tiny_times():
     # and there as everywhere, alpha < d
     with pytest.raises(DomainError):
         free_kernel(1.0, 1e100, 1, 1.5)
+
+
+@pytest.mark.parametrize("d, alpha", [(1, 0.5), (2, 0.3), (3, 0.7)])
+def test_unit_density_at_origin(d, alpha):
+    # p_1(0) = 2 Gamma(d/alpha) / (alpha (4 pi)^{d/2} Gamma(d/2))
+    exact = 2.0 * math.gamma(d / alpha) / (
+        alpha * (4.0 * math.pi) ** (d / 2.0) * math.gamma(d / 2.0))
+    v, e = unit_density(0.0, d, alpha)
+    assert v == pytest.approx(exact, rel=1e-14)
+    assert 0.0 < e <= 1e-15 * v
 
 
 def test_unit_density_far_tail():
