@@ -23,6 +23,10 @@ which stays accurate when the kernel peak is narrower than the grid spacing.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import log, pi
 
@@ -41,6 +45,7 @@ from .stable_kernel import (
     kernel_t,
     levy_constant,
     sphere_area,
+    unit_density_grid,
     weighted_mass,
 )
 
@@ -48,6 +53,7 @@ _SIGMA_PER_PANEL = 6      # Gauss points per time panel of the radial engine
 _SIGMA_EDGE = 1e-8        # its relative refinement depth at the time endpoints
 _RADIAL_R_MAX = 1e3       # outer radius of the radial engine's grid
 _PLANAR_R_MIN, _PLANAR_R_MAX = 1e-3, 3e2   # radial extent of the planar grid
+_MAX_WORKERS = 4          # threads that assemble one radial operator, at most
 
 
 @dataclass(frozen=True)
@@ -142,33 +148,74 @@ def _log_interp_matrix(r_grid: np.ndarray, targets: np.ndarray, gamma: float) ->
     return mat
 
 
+def _assembly_workers() -> int:
+    """Threads that assemble a radial operator: HARDYHEAT_THREADS when set,
+    otherwise the CPUs this process may run on; between 1 and _MAX_WORKERS."""
+    env = os.environ.get("HARDYHEAT_THREADS", "").strip()
+    if env.isdigit():
+        n = int(env)
+    elif hasattr(os, "sched_getaffinity"):
+        n = len(os.sched_getaffinity(0))
+    else:
+        n = os.cpu_count() or 1
+    return max(1, min(n, _MAX_WORKERS))
+
+
+def _ordered_map(fn, n: int, workers: int):
+    """fn(0), ..., fn(n - 1), yielded in this order.
+
+    With more than one worker they are computed on a thread pool that lives
+    as long as the iteration; at most 2 * workers results are pending at a
+    time.  With one worker they are computed inline, and no thread starts.
+    """
+    if workers <= 1:
+        yield from map(fn, range(n))
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for k in range(n):
+            pending.append(pool.submit(fn, k))
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 class _AngularMeans:
     """Spherical means of p_s between the radii r and from them to the inner
     ring a_in, at any time s, from chord tables built once.
 
     The mean is symmetric in the two radii, so only the pairs i <= j are
     evaluated; both triangles are filled from them.  Equals angular_average
-    to the last bit.
+    to the last bit.  The chord tables are read-only, so the workers share
+    them; each thread writes into its own output arrays.
     """
 
-    def __init__(self, r, a_in, d: int, alpha: float):
+    def __init__(self, r, a_in, d: int, alpha: float, workers: int):
         n, m = len(r), len(a_in)
-        self.d, self.alpha = d, alpha
+        self.d, self.alpha, self.workers = d, alpha, workers
         self._upper = np.triu_indices(n)
         self._pairs = angular_chords(r[self._upper[0]], r[self._upper[1]], d)
         self._ring = angular_chords(r[:, None], a_in[None, :], d).reshape(n * m, -1)
-        self._pair_mean = np.empty(len(self._pairs))
-        self._grid_mean = np.empty((n, n))
-        self._ring_mean = np.empty((n, m))
+        self._shape = (n, m)
+        self._local = threading.local()
 
     def at(self, s: float):
-        """(grid, ring) means at time s, in arrays that the next call reuses."""
+        """(grid, ring) means at time s, in arrays that the calling thread's
+        next call reuses."""
+        try:
+            pair_mean, grid_mean, ring_mean = self._local.out
+        except AttributeError:
+            n, m = self._shape
+            pair_mean, grid_mean, ring_mean = self._local.out = (
+                np.empty(len(self._pairs)), np.empty((n, n)), np.empty((n, m)))
         i, j = self._upper
-        angular_mean(s, self._pairs, self.d, self.alpha, self._pair_mean)
-        self._grid_mean[i, j] = self._pair_mean
-        self._grid_mean[j, i] = self._pair_mean
-        angular_mean(s, self._ring, self.d, self.alpha, self._ring_mean.reshape(-1))
-        return self._grid_mean, self._ring_mean
+        angular_mean(s, self._pairs, self.d, self.alpha, pair_mean, self.workers)
+        grid_mean[i, j] = pair_mean
+        grid_mean[j, i] = pair_mean
+        angular_mean(s, self._ring, self.d, self.alpha, ring_mean.reshape(-1),
+                     self.workers)
+        return grid_mean, ring_mean
 
 
 class RadialWeightedEngine:
@@ -211,16 +258,25 @@ class RadialWeightedEngine:
     # -- operator assembly --------------------------------------------------
 
     def _build_operator(self) -> np.ndarray:
+        """K as the sum over the time nodes s of a term that depends on s
+        alone.  The terms are computed in parallel and added in node order,
+        so K has the same bits for any number of workers."""
         d, alpha = self.params.d, self.params.alpha
         kappa, beta = self.params.kappa, self.beta
         r = self.r_grid
         n = len(r)
         area = sphere_area(d)
-        K = np.zeros((n, n))
         a_levy = levy_constant(d, alpha)
         a_in, w_in = log_panel_nodes(1e-4 * self.cfg.eps0, self.cfg.eps0, 8, 2)
-        means = _AngularMeans(r, a_in, d, alpha)
-        for s, ws in zip(self.s_nodes, self.s_weights):
+        workers = _assembly_workers()
+        means = _AngularMeans(r, a_in, d, alpha, workers)
+        # the first call caches p_1's interpolant: make it before the workers
+        unit_density_grid(0.0, d, alpha)
+
+        def node_term(k: int):
+            """(term of K, its addend to column 0, its addend to column -1)
+            at the time node s_k."""
+            s, ws = self.s_nodes[k], self.s_weights[k]
             cs = (1.0 - s) ** (-1.0 / alpha)
             pref = (1.0 - s) ** (-beta / alpha)
             grid_mean, th_in = means.at(s)
@@ -228,16 +284,19 @@ class RadialWeightedEngine:
             theta = grid_mean * (area * self.r_weights * r ** (d - 1))
             mass = theta.sum(axis=1)
             # resample phi at (1-s)^{-1/alpha} a_j, then weight by a^{-alpha}
-            R = _log_interp_matrix(r, cs * r, beta)
-            DR = (pref * r[:, None] ** (-alpha)) * R
+            DR = _log_interp_matrix(r, cs * r, beta)
+            DR *= pref * r[:, None] ** (-alpha)
             # resolved rows are rescaled to the exact mass (1 minus the ring
             # masses outside the grid), removing the leading quadrature error
             mass_in = area * (th_in @ (w_in * a_in ** (d - 1)))
             mass_out = area * s * a_levy * _RADIAL_R_MAX ** (-alpha) / alpha
             lam, scale = _resolution_blend(r, s, alpha, 1.0 - mass_in - mass_out, mass)
-            theta = theta * scale[:, None]
+            # in place: each worker holds few n x n temporaries at a time
+            theta *= scale[:, None]
             mass = mass * scale
-            K += (kappa * ws) * ((theta @ DR) + (lam * (1.0 - mass))[:, None] * DR)
+            term = theta @ DR
+            term += (lam * (1.0 - mass))[:, None] * DR
+            term *= kappa * ws
             # ring corrections outside the grid: below eps0 the integrand is
             # continued as the power law phi(x) ~ phi(r_0) (x/r_0)^{-slope}
             # and integrated against the angular-averaged kernel on a sub-grid
@@ -246,13 +305,18 @@ class RadialWeightedEngine:
             ring_in = (
                 area * pref * (cs / r[0]) ** (-sl) * (th_in @ (w_in * prof_in))
             )
-            K[:, 0] += (kappa * ws) * ring_in
             expo_out = 1.0 + 2.0 * alpha + beta
             ring_out = (
                 area * s * a_levy * pref * r[-1] ** beta * cs ** (-beta)
                 * _RADIAL_R_MAX ** (-expo_out + 1.0) / (expo_out - 1.0)
             )
-            K[:, -1] += (kappa * ws) * ring_out
+            return term, (kappa * ws) * ring_in, (kappa * ws) * ring_out
+
+        K = np.zeros((n, n))
+        for term, col_in, col_out in _ordered_map(node_term, len(self.s_nodes), workers):
+            K += term
+            K[:, 0] += col_in
+            K[:, -1] += col_out
         return K
 
     # -- evaluation ---------------------------------------------------------

@@ -223,6 +223,56 @@ def unit_density(r: float, d: int, alpha: float):
     return _hankel_quadrature(r, d, alpha)
 
 
+class UniformCubic:
+    """A cubic spline with breakpoints on a uniform grid, evaluated with the
+    same bits as scipy's PPoly call but in numpy array operations only.
+
+    PPoly's evaluation holds the GIL; these operations release it, so
+    threads that evaluate the spline run in parallel.  The interval of a
+    point v is found by arithmetic and then corrected by one comparison on
+    each side, which gives PPoly's interval: b[k] <= v < b[k + 1] for the
+    breakpoints b, clamped to the first and the last interval.  The cubic
+    in v - b[k] is summed in PPoly's order.
+    """
+
+    def __init__(self, spline):
+        x = np.ascontiguousarray(spline.x)
+        self._x, self._x0 = x, x[0]
+        self._last = len(x) - 2                      # the last interval
+        self._inv_h = (len(x) - 1) / (x[-1] - x[0])
+        # the arithmetic index may be off by one at most
+        off = np.abs(x - (x[0] + np.arange(len(x)) / self._inv_h)) * self._inv_h
+        if not np.max(off) < 0.5:
+            raise ValueError("the breakpoints are not uniform")
+        self._c = tuple(np.ascontiguousarray(c) for c in spline.c)
+
+    def __call__(self, xv):
+        xv = np.asarray(xv, dtype=float)
+        v = xv.reshape(-1)
+        x = self._x
+        # fmax / fmin map NaN to 0, so the cast sees finite values only
+        s = (v - self._x0) * self._inv_h
+        k = np.fmin(np.fmax(s, 0.0, out=s), self._last, out=s).astype(np.intp)
+        k -= v < x.take(k)
+        k += v >= x.take(k + 1)
+        np.clip(k, 0, self._last, out=k)
+        np.subtract(v, x.take(k), out=s)
+        # c3 + c2 s + c1 s^2 + c0 s^3, in place and in this order
+        c0, c1, c2, c3 = self._c
+        out = c2.take(k)
+        out *= s
+        out += c3.take(k)
+        z = s * s
+        term = c1.take(k)
+        term *= z
+        out += term
+        z *= s
+        c0.take(k, out=term)
+        term *= z
+        out += term
+        return out.reshape(xv.shape)
+
+
 @lru_cache(maxsize=32)
 def _unit_density_interpolant(d: int, alpha: float):
     """Log-log Chebyshev-free interpolant of p_1 on a dense radial grid.
@@ -235,7 +285,7 @@ def _unit_density_interpolant(d: int, alpha: float):
     r_lo, r_hi = 1e-4, 1e4
     grid = np.geomspace(r_lo, r_hi, 1600)
     vals = np.array([unit_density(float(r), d, alpha)[0] for r in grid])
-    spline = CubicSpline(np.log(grid), np.log(vals))
+    spline = UniformCubic(CubicSpline(np.log(grid), np.log(vals)))
     p0 = unit_density(0.0, d, alpha)[0]
     a_tail = levy_constant(d, alpha)
 
@@ -277,6 +327,24 @@ def kernel_t(t, r, d: int, alpha: float):
     return t ** (-d / alpha) * unit_density_grid(r * scale, d, alpha)
 
 
+def radius(x) -> float:
+    """|x| of a point, or of a bare radius.
+
+    The norm squares the coordinates, so a point whose coordinates are all
+    below about 1e-162 reads as 0; only then is it rescaled by its largest
+    coordinate, and every other radius keeps the norm's bits.
+    """
+    if not np.ndim(x):
+        return float(abs(x))
+    r = float(np.linalg.norm(x))
+    if r == 0.0:
+        x = np.asarray(x, dtype=float)
+        top = float(np.max(np.abs(x)))
+        if top > 0.0:
+            r = top * float(np.linalg.norm(x / top))
+    return r
+
+
 def free_kernel(t: float, x, d: int, alpha: float) -> KernelValue:
     """The free heat kernel p_t(x) with provenance and error estimate.
 
@@ -285,7 +353,7 @@ def free_kernel(t: float, x, d: int, alpha: float) -> KernelValue:
     """
     if not 0.0 < t < np.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
-    r = float(np.linalg.norm(x)) if np.ndim(x) else float(abs(x))
+    r = radius(x)
     cauchy = is_cauchy(alpha)
     if cauchy:
         method, expo, rho = Method.CLOSED_FORM, -d, r / t
@@ -332,11 +400,18 @@ def free_kernel_bound_ratio(t: float, x, d: int, alpha: float) -> float:
     """Ratio of p_t(x) to the envelope min(t^{-d/alpha}, t |x|^{-d-alpha})."""
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    r = float(np.linalg.norm(x)) if np.ndim(x) else float(abs(x))
+    r = radius(x)
     p = free_kernel(t, r, d, alpha).value
-    bound = t ** (-d / alpha)
-    if r > 0.0:
-        bound = min(bound, t * r ** (-d - alpha))
+    try:
+        bound = t ** (-d / alpha)
+        if r > 0.0:
+            bound = min(bound, t * r ** (-d - alpha))
+    except OverflowError:
+        # a power of a tiny t or |x| overflows: the envelope in logs
+        log_bound = -d / alpha * log(t)
+        if r > 0.0:
+            log_bound = min(log_bound, log(t) - (d + alpha) * log(r))
+        return _exp(log(p) - log_bound)
     return p / bound
 
 
@@ -430,7 +505,7 @@ def weighted_mass(s: float, x, beta: float, d: int, alpha: float) -> KernelValue
         raise DomainError(f"beta must lie in (0, d), got {beta}")
     if s <= 0.0:
         raise DomainError(f"s must be positive, got {s}")
-    r = float(np.linalg.norm(x)) if np.ndim(x) else float(abs(x))
+    r = radius(x)
     c1 = closed_form_c1(d, alpha, beta)
     nu = (d - alpha - beta) / alpha
     scale = max(s, r ** alpha, 1e-30)
@@ -457,7 +532,7 @@ def time_integrated_mass(t: float, x, beta: float, d: int, alpha: float) -> floa
         raise DomainError(f"beta must lie in (0, d), got {beta}")
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    r = float(np.linalg.norm(x)) if np.ndim(x) else float(abs(x))
+    r = radius(x)
     if r == 0.0 and beta >= alpha:
         return float("inf")
     s_lo = 1e-9 * t
@@ -481,21 +556,28 @@ def angular_chords(a, r, d: int):
     c, _ = sphere_angle_rule(d, _ANGULAR_NODES)
     a = np.asarray(a, dtype=float)[..., None]
     r = np.asarray(r, dtype=float)[..., None]
-    return np.sqrt(np.maximum(a ** 2 + r ** 2 - 2.0 * a * r * c, 0.0))
+    # in place: a table of many rows is built with no temporary of its size
+    out = 2.0 * a * r * c
+    np.subtract(a ** 2 + r ** 2, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
 
 
-def angular_mean(t: float, chords, d: int, alpha: float, out) -> None:
+def angular_mean(t: float, chords, d: int, alpha: float, out,
+                 threads: int) -> None:
     """Spherical mean of p_t over each row of a 2-d table of angular_chords,
     written into out; the same numbers as angular_average.
 
-    The kernel is evaluated in blocks of _BLOCK_ROWS rows, so that its
-    temporaries stay small however long the table is.
+    The kernel is evaluated in blocks of _BLOCK_ROWS // threads rows, so that
+    its temporaries stay small however long the table is, and the calls of
+    that many threads at once hold no more of them than one call.
     """
     _, w = sphere_angle_rule(d, _ANGULAR_NODES)
-    for lo in range(0, len(chords), _BLOCK_ROWS):
-        vals = kernel_t(t, chords[lo:lo + _BLOCK_ROWS], d, alpha)
+    rows = max(1, _BLOCK_ROWS // threads)
+    for lo in range(0, len(chords), rows):
+        vals = kernel_t(t, chords[lo:lo + rows], d, alpha)
         vals *= w
-        np.sum(vals, axis=-1, out=out[lo:lo + _BLOCK_ROWS])
+        np.sum(vals, axis=-1, out=out[lo:lo + rows])
 
 
 def angular_average(t: float, a, r, d: int, alpha: float):
@@ -515,7 +597,7 @@ def log_identity_residual(t: float, x, d: int, alpha: float) -> float:
     LHS: prefactor * int_0^t int p(s,x,y) |y|^{-alpha} dy ds
     RHS: int p(t,x,y) ln|y| dy - ln|x|
     """
-    r = float(np.linalg.norm(x)) if np.ndim(x) else float(abs(x))
+    r = radius(x)
     if r <= 0.0:
         raise DomainError("x must be nonzero")
     if d <= alpha:

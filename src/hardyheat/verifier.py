@@ -25,7 +25,7 @@ from .duhamel import (
     _get_engine,
 )
 from .results import CheckResult, make_result
-from .stable_kernel import kernel_t
+from .stable_kernel import kernel_t, radius
 
 # the comparability scan's radii and angles around y0 = (1, 0), and times
 _SCAN_RADII = np.geomspace(1e-3, 1e2, 11)
@@ -186,7 +186,7 @@ def check_supermedian(t: float, x, params: ModelParams) -> CheckResult:
     by the weighted-mass engine."""
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("supermedian checks require a finite kernel")
-    rx = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    rx = radius(x)
     delta = params.delta
     eng = get_radial_engine(params, delta)
     F = eng.evaluator()
@@ -216,7 +216,7 @@ def check_H_supermedian(t: float, x, params: ModelParams,
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("supermedian checks require a finite kernel")
     alpha, delta = params.alpha, params.delta
-    rx = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    rx = radius(x)
     eng_0 = get_radial_engine(params, 0.0, cfg)
     F0 = eng_0.evaluator()
     Fd = get_radial_engine(params, delta, cfg).evaluator() \
@@ -249,7 +249,7 @@ def check_invariance(beta: float, t: float, x,
     d, alpha = params.d, params.alpha
     if not (0.0 <= beta < d - alpha):
         raise DomainError(f"beta must lie in [0, d - alpha), got {beta}")
-    rx = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    rx = radius(x)
     kb = kappa_of_beta(d, alpha, beta)
     lhs = float(get_radial_engine(params, beta).evaluator()(t, rx))
     ti = time_integrated_profile(get_radial_engine(params, beta + alpha), t, rx)
@@ -360,7 +360,7 @@ def blowup_probe(t: float, x, params: ModelParams) -> BlowupReport:
         )
     beta = (params.d - params.alpha) / 2.0
     eng = get_radial_engine(params, beta, QuadratureConfig(eps0=1e-10))
-    rx = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    rx = radius(x)
     rho = rx * t ** (-1.0 / params.alpha)   # scaling reduction to t = 1
     i = int(np.argmin(np.abs(np.log(eng.r_grid) - log(rho))))
     K = eng._operator

@@ -233,6 +233,15 @@ def test_kernel_far_tail(runner):
     assert values[3] == pytest.approx(1e-200 / (2.0 * math.pi), rel=1e-14)
 
 
+def test_kernel_at_a_tiny_point(runner):
+    # the squares of the coordinates underflow, the radius 1e-170 does not
+    res = runner.invoke(main, ["kernel", "--t", "1e-300", "--x", "1e-170,0",
+                               "--y", "0,0"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["value"] == pytest.approx(
+        1.5915494309192622e+209, rel=1e-14)
+
+
 def test_kernel_tail_series_error_is_positive(runner):
     # the tail series' last term underflows to 0 here; the error is floored
     # at the rounding of the value instead

@@ -1,7 +1,11 @@
 """Perturbation series, fixed-point evaluator and the self-consistency residual."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,15 +136,16 @@ def test_angular_convolution_matches_direct_sum(alpha, n_angular):
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
-def test_radial_angular_means_match_angular_average(alpha):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_radial_angular_means_match_angular_average(alpha, workers):
     # the operator build reads both triangles of the grid means from the
     # pairs i <= j only, and the inner-ring means from a flattened table;
     # both must be angular_average to the last bit.  The 64 radii give 2080
-    # pairs, one full block and a partial one.
+    # pairs, full blocks and a partial one.
     r, _ = log_panel_nodes(1e-5, 1e3, n_per_panel=8, per_decade=1)
     a_in, _ = log_panel_nodes(1e-9, 1e-5, 8, 2)
-    assert len(r) * (len(r) + 1) // 2 % stable_kernel._BLOCK_ROWS
-    means = duhamel._AngularMeans(r, a_in, 2, alpha)
+    assert len(r) * (len(r) + 1) // 2 % (stable_kernel._BLOCK_ROWS // workers)
+    means = duhamel._AngularMeans(r, a_in, 2, alpha, workers)
     for s in (1e-6, 0.3, 0.99):
         grid, ring = means.at(s)
         assert np.array_equal(grid, angular_average(s, r[:, None], r[None, :], 2, alpha))
@@ -177,3 +182,56 @@ def test_engine_cache_keys(ref_subcritical, monkeypatch):
     assert _get_engine(a, 1.0, X, cfg) is _get_engine(b, 1.0, X, cfg)
     with pytest.raises(FrozenInstanceError):
         cfg.n_angular = 16
+
+
+# a coarser grid than the default keeps the builds short; the terms are
+# summed in the same order on every grid
+_BUILD = """
+import hashlib, sys
+from hardyheat.duhamel import QuadratureConfig, RadialWeightedEngine
+from hardyheat.params import ModelParams, kappa_star
+cfg = QuadratureConfig(radial_per_decade=2, sigma_per_decade=1.0)
+for alpha in (1.0, 1.5):
+    p = ModelParams.from_kappa(2, alpha, 0.5 * kappa_star(2, alpha))
+    op = RadialWeightedEngine(p, p.delta, cfg)._operator
+    print(hashlib.sha256(op.tobytes()).hexdigest())
+status = open("/proc/self/status").read().splitlines()
+print([line.split()[1] for line in status if line.startswith("Threads:")][0])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the thread count from /proc/self/status")
+def test_radial_operator_is_independent_of_the_workers():
+    # K is summed in node order whatever the number of assembly workers;
+    # with one worker no pool thread starts
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "GOTO_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(duhamel.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = {}
+    for workers in ("1", "2"):
+        env["HARDYHEAT_THREADS"] = workers
+        res = subprocess.run([sys.executable, "-c", _BUILD], env=env, timeout=300,
+                             capture_output=True, text=True, check=True)
+        out[workers] = res.stdout.split()
+    assert out["1"][:2] == out["2"][:2]
+    assert out["1"][2] == "1"
+
+
+def test_radial_operator_under_thread_switching(monkeypatch):
+    # more workers than cores and a short switch interval: a buffer shared
+    # between workers, or a term added out of order, would move the bits
+    cfg = QuadratureConfig(radial_per_decade=1, sigma_per_decade=1.0)
+    p = ModelParams.from_kappa(2, 1.5, 0.5 * kappa_star(2, 1.5))
+    monkeypatch.setenv("HARDYHEAT_THREADS", "1")
+    ref = duhamel.RadialWeightedEngine(p, p.delta, cfg)._operator
+    monkeypatch.setenv("HARDYHEAT_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        op = duhamel.RadialWeightedEngine(p, p.delta, cfg)._operator
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(op, ref)

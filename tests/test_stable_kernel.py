@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from hardyheat.errors import DomainError
 from hardyheat.params import kappa_of_beta
 from hardyheat.stable_kernel import (
+    UniformCubic,
     _hankel_quadrature,
     _small_r_series,
     _tail_series,
@@ -18,6 +20,7 @@ from hardyheat.stable_kernel import (
     levy_constant,
     levy_symbol,
     log_identity_residual,
+    radius,
     time_integrated_mass,
     unit_density,
     unit_density_grid,
@@ -138,6 +141,53 @@ def test_free_kernel_envelope():
         for r in (0.01, 1.0, 100.0):
             ratio = free_kernel_bound_ratio(t, r, 2, 1.0)
             assert 0.0 < ratio < 1.0
+
+
+def test_free_kernel_envelope_at_tiny_times():
+    # t^{-d/alpha} (and |x|^{-d-alpha}) overflow; the ratio does not.  In the
+    # far tail p_t(x) = A t |x|^{-d-alpha}, so the ratio is A.
+    assert free_kernel_bound_ratio(1e-200, 1.0, 2, 1.0) == pytest.approx(
+        levy_constant(2, 1.0), rel=1e-12)
+    assert free_kernel_bound_ratio(1e-300, (1e-170, 0.0), 2, 1.0) == pytest.approx(
+        levy_constant(2, 1.0), rel=1e-12)
+    assert free_kernel_bound_ratio(1e-200, 1.0, 2, 1.5) == pytest.approx(
+        levy_constant(2, 1.5), rel=1e-6)
+
+
+def test_radius():
+    # coordinates whose squares underflow still have their radius
+    assert radius((1e-170, 0.0)) == 1e-170
+    assert radius(np.array([0.0, -1e-170, 0.0])) == 1e-170
+    assert radius((3e-170, 4e-170)) == pytest.approx(5e-170, rel=1e-15)
+    assert radius((0.0, 0.0)) == 0.0
+    assert radius(-2.5) == 2.5
+    # every other radius is the norm's, to the bit
+    for x in [(3.0, 4.0), (1e-150, 2e-151), (0.1, 0.7, 1e3), (1e150, 1e150)]:
+        assert radius(x) == float(np.linalg.norm(x))
+    assert free_kernel(1e-300, (1e-170, 0.0), 2, 1.0).value == pytest.approx(
+        1.5915494309192622e+209, rel=1e-14)
+
+
+def test_uniform_cubic_is_scipys_spline():
+    # the p_1 interpolant's spline, evaluated without scipy: the same bits
+    grid = np.geomspace(1e-4, 1e4, 1600)
+    vals = np.array([unit_density(float(r), 2, 1.5)[0] for r in grid])
+    spline = CubicSpline(np.log(grid), np.log(vals))
+    fast = UniformCubic(spline)
+    x = spline.x
+    dense = np.log(np.geomspace(1e-4, 1e4, 400_001))
+    beyond = np.log(np.concatenate([np.geomspace(1e-9, 1e-4, 501),
+                                    np.geomspace(1e4, 1e9, 501)]))
+    breakpoints = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    for pts in (dense, beyond, breakpoints, breakpoints.reshape(3, -1),
+                np.float64(x[7]), np.array(0.3), np.empty(0)):
+        got, want = fast(pts), spline(pts)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    # the interval search relies on uniform breakpoints
+    uneven = np.geomspace(1.0, 1e3, 20)
+    with pytest.raises(ValueError):
+        UniformCubic(CubicSpline(uneven, np.sqrt(uneven)))
 
 
 def test_levy_symbol_identity():
