@@ -150,15 +150,16 @@ def _log_interp_matrix(r_grid: np.ndarray, targets: np.ndarray, gamma: float) ->
 
 def _assembly_workers() -> int:
     """Threads that assemble a radial operator: HARDYHEAT_THREADS when set,
-    otherwise the CPUs this process may run on; between 1 and _MAX_WORKERS."""
-    env = os.environ.get("HARDYHEAT_THREADS", "").strip()
-    if env.isdigit():
-        n = int(env)
-    elif hasattr(os, "sched_getaffinity"):
-        n = len(os.sched_getaffinity(0))
+    otherwise the CPUs this process may run on; never more than those CPUs
+    (more threads contend for the GIL: 4 on 2 CPUs ran slower than 1), nor
+    more than _MAX_WORKERS."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
     else:
-        n = os.cpu_count() or 1
-    return max(1, min(n, _MAX_WORKERS))
+        cpus = os.cpu_count() or 1
+    env = os.environ.get("HARDYHEAT_THREADS", "").strip()
+    n = int(env) if env.isdigit() else cpus
+    return max(1, min(n, cpus, _MAX_WORKERS))
 
 
 def _ordered_map(fn, n: int, workers: int):

@@ -227,7 +227,7 @@ def test_radial_operator_under_thread_switching(monkeypatch):
     p = ModelParams.from_kappa(2, 1.5, 0.5 * kappa_star(2, 1.5))
     monkeypatch.setenv("HARDYHEAT_THREADS", "1")
     ref = duhamel.RadialWeightedEngine(p, p.delta, cfg)._operator
-    monkeypatch.setenv("HARDYHEAT_THREADS", "4")
+    monkeypatch.setattr(duhamel, "_assembly_workers", lambda: 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
