@@ -136,20 +136,22 @@ def test_angular_convolution_matches_direct_sum(alpha, n_angular):
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_radial_angular_means_match_angular_average(alpha, workers):
+def test_radial_angular_means_match_angular_average(alpha):
     # the operator build reads both triangles of the grid means from the
     # pairs i <= j only, and the inner-ring means from a flattened table;
     # both must be angular_average to the last bit.  The 64 radii give 2080
-    # pairs, full blocks and a partial one.
+    # pairs, full blocks and a partial one, for the blocks of 1 and 2 workers.
     r, _ = log_panel_nodes(1e-5, 1e3, n_per_panel=8, per_decade=1)
     a_in, _ = log_panel_nodes(1e-9, 1e-5, 8, 2)
-    assert len(r) * (len(r) + 1) // 2 % (stable_kernel._BLOCK_ROWS // workers)
-    means = duhamel._AngularMeans(r, a_in, 2, alpha, workers)
-    for s in (1e-6, 0.3, 0.99):
-        grid, ring = means.at(s)
-        assert np.array_equal(grid, angular_average(s, r[:, None], r[None, :], 2, alpha))
-        assert np.array_equal(ring, angular_average(s, r[:, None], a_in[None, :], 2, alpha))
+    for workers in (1, 2):
+        assert len(r) * (len(r) + 1) // 2 % (stable_kernel._BLOCK_ROWS // workers)
+        means = duhamel._AngularMeans(r, a_in, 2, alpha, workers)
+        for s in (1e-6, 0.3, 0.99):
+            grid, ring = means.at(s)
+            assert np.array_equal(
+                grid, angular_average(s, r[:, None], r[None, :], 2, alpha))
+            assert np.array_equal(
+                ring, angular_average(s, r[:, None], a_in[None, :], 2, alpha))
 
 
 def _read_one(eng, U, x):
