@@ -16,6 +16,10 @@ Two engines are provided:
 * ``PlanarKernelEngine`` (d = 2 only) computes p_tilde(t, x, y) pointwise on
   a log-polar grid around a fixed y, by sweeping the Duhamel operator.
 
+The time integral of the Duhamel formula has one quadrature, ``_duhamel_sum``:
+the first term p_1, each sweep and ``duhamel_residual`` pass it their
+integrand at the times (s, t - s).
+
 Both treat the kernel concentration at small times by singularity
 subtraction: int p(s, x, z) g(z) dz = g(x) + int p(s, x, z) (g(z) - g(x)) dz,
 which stays accurate when the kernel peak is narrower than the grid spacing.
@@ -24,7 +28,6 @@ which stays accurate when the kernel peak is narrower than the grid spacing.
 from __future__ import annotations
 
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -189,34 +192,24 @@ class _AngularMeans:
     The mean is symmetric in the two radii, so only the pairs i <= j are
     evaluated; both triangles are filled from them.  Equals angular_average
     to the last bit.  The chord tables are read-only, so the workers share
-    them; each thread writes into its own output arrays.
+    them.
     """
 
-    def __init__(self, r, a_in, d: int, alpha: float, workers: int):
+    def __init__(self, r, a_in, d: int, alpha: float):
         n, m = len(r), len(a_in)
-        self.d, self.alpha, self.workers = d, alpha, workers
+        self.d, self.alpha = d, alpha
         self._upper = np.triu_indices(n)
         self._pairs = angular_chords(r[self._upper[0]], r[self._upper[1]], d)
         self._ring = angular_chords(r[:, None], a_in[None, :], d).reshape(n * m, -1)
         self._shape = (n, m)
-        self._local = threading.local()
 
     def at(self, s: float):
-        """(grid, ring) means at time s, in arrays that the calling thread's
-        next call reuses."""
-        try:
-            pair_mean, grid_mean, ring_mean = self._local.out
-        except AttributeError:
-            n, m = self._shape
-            pair_mean, grid_mean, ring_mean = self._local.out = (
-                np.empty(len(self._pairs)), np.empty((n, n)), np.empty((n, m)))
+        """(grid, ring) means at time s, in new arrays."""
+        n, m = self._shape
         i, j = self._upper
-        angular_mean(s, self._pairs, self.d, self.alpha, pair_mean, self.workers)
-        grid_mean[i, j] = pair_mean
-        grid_mean[j, i] = pair_mean
-        angular_mean(s, self._ring, self.d, self.alpha, ring_mean.reshape(-1),
-                     self.workers)
-        return grid_mean, ring_mean
+        grid_mean = np.empty((n, n))
+        grid_mean[i, j] = grid_mean[j, i] = angular_mean(s, self._pairs, self.d, self.alpha)
+        return grid_mean, angular_mean(s, self._ring, self.d, self.alpha).reshape(n, m)
 
 
 class RadialWeightedEngine:
@@ -270,7 +263,7 @@ class RadialWeightedEngine:
         a_levy = levy_constant(d, alpha)
         a_in, w_in = log_panel_nodes(1e-4 * self.cfg.eps0, self.cfg.eps0, 8, 2)
         workers = _assembly_workers()
-        means = _AngularMeans(r, a_in, d, alpha, workers)
+        means = _AngularMeans(r, a_in, d, alpha)
         # the first call caches p_1's interpolant: make it before the workers
         unit_density_grid(0.0, d, alpha)
 
@@ -364,6 +357,18 @@ def time_integrated_profile(engine: RadialWeightedEngine, t: float,
 # Pointwise engine on a log-polar grid (d = 2)
 
 
+def _duhamel_sum(kappa: float, t: float, node, rule):
+    """kappa int_0^t node(s, t - s) ds by the rule (nodes, weights) on (0, 1).
+
+    The one time quadrature of the Duhamel formula: p_1, each sweep and the
+    residual pass their integrand here.  Both times are floored at 1e-300.
+    """
+    acc = 0.0
+    for v, wv in zip(*rule):
+        acc += wv * node(max(t * v, 1e-300), max(t * (1.0 - v), 1e-300))
+    return kappa * t * acc
+
+
 class PlanarKernelEngine:
     """Pointwise p_tilde(tau, z, y) for d = 2 on a log-polar grid around a
     fixed y, for all tau on a geometric time grid up to t.
@@ -398,13 +403,10 @@ class PlanarKernelEngine:
         self.w_theta = 2.0 * pi / self.n_theta
         nt = cfg.time_subdivisions
         self.tau = t * np.geomspace(1e-2, 1.0, nt)
-        self.v_nodes, self.v_weights = refined_unit_nodes(
-            n_per_panel=5, edge_ratio=1e-4, per_decade=1.2
-        )
+        # (nodes, weights) of the Duhamel time integral on (0, 1)
+        self.v_rule = refined_unit_nodes(n_per_panel=5, edge_ratio=1e-4, per_decade=1.2)
         # the V-side integrand is smooth after subtraction; a leaner rule does
-        self.v_nodes_lean, self.v_weights_lean = refined_unit_nodes(
-            n_per_panel=4, edge_ratio=1e-3, per_decade=0.8
-        )
+        self.v_rule_lean = refined_unit_nodes(n_per_panel=4, edge_ratio=1e-3, per_decade=0.8)
         r = self.r_grid
         cosd = np.cos(self.theta)
         # squared distances between grid circles, indexed (angle lag, radius,
@@ -427,8 +429,7 @@ class PlanarKernelEngine:
         delta = params.delta if np.isfinite(params.delta) else (params.d - params.alpha) / 2.0
         self._slope_in = delta
         self._p0 = np.array([self._free_at_y(tk) for tk in self.tau])
-        self._p1 = None
-        self._terms_cache: list = []
+        self._terms = [self._p0]   # the grid series terms p_0, p_1, ... so far
         self._fp = None
         self._ws = None   # _kernel_fft buffers, allocated on first use
 
@@ -474,11 +475,11 @@ class PlanarKernelEngine:
         """Discrete kernel mass per radius (angle-independent)."""
         return khat[0] @ self.cell_w[:, 0]   # frequency 0 carries the angle sum
 
-    def _convolve(self, s: float, G: np.ndarray) -> np.ndarray:
+    def _convolve(self, s: float, G: np.ndarray, q: float) -> np.ndarray:
         """int p(s, z, w) G(w) dw with the resolution blend and inner ring.
 
         G lives on the grid; below r_min it is continued per angle as the
-        power law a^{-alpha - slope} carried by the first radial circle.
+        power law a^{-q} carried by the first radial circle.
         """
         alpha = self.params.alpha
         khat = self._kernel_fft(s)
@@ -487,6 +488,7 @@ class PlanarKernelEngine:
         lam, scale = _resolution_blend(self.r_grid, s, alpha, 1.0 - disc, mass)
         out = scale[:, None] * self._apply(khat, G)
         out += (lam * (1.0 - scale * mass))[:, None] * G
+        out += self._ring_in(s, self.r_grid, self.w_theta * float(np.sum(G[0])), q)[:, None]
         return out
 
     def _ring_in(self, s: float, radius, G0_int: float, q: float):
@@ -505,40 +507,30 @@ class PlanarKernelEngine:
 
     def first_term(self) -> np.ndarray:
         """p_1 on the (tau, r, theta) grid, via both closed-form factors."""
-        if self._p1 is not None:
-            return self._p1
-        alpha, kappa = self.params.alpha, self.params.kappa
-        out = np.empty((len(self.tau), len(self.r_grid), self.n_theta))
-        ry = self.ry
-        for k, tk in enumerate(self.tau):
-            acc = np.zeros((len(self.r_grid), self.n_theta))
-            for v, wv in zip(self.v_nodes, self.v_weights):
-                s, sp = tk * v, tk * (1.0 - v)
-                s = max(s, 1e-300)
-                sp = max(sp, 1e-300)
-                if s <= sp:
-                    # outer kernel peaked at z: subtract around z
-                    G = self.r_grid[:, None] ** (-alpha) * self._free_at_y(sp)
-                    G0_int = self.w_theta * float(np.sum(G[0]))
-                    ring = self._ring_in(s, self.r_grid, G0_int, alpha)
-                    I = self._convolve(s, G) + ring[:, None]
-                else:
-                    # free factor peaked at y: subtract around y
-                    py = self._free_at_y(sp)
-                    massY = float(np.sum(self.cell_w * py))
-                    lamY, scaleY = _resolution_blend(ry, sp, alpha, 1.0, massY)
-                    khat = self._kernel_fft(s)
-                    I = self._apply(khat, scaleY * py * self.r_grid[:, None] ** (-alpha))
-                    fy = kernel_t(s, self.dist_y, 2, alpha) * ry ** (-alpha)
-                    I += lamY * (1.0 - scaleY * massY) * fy
-                    # inner disc of the w-integral (|w|^{-alpha} singular
-                    # ring), with p(sp, w, y) frozen at p(sp, |y|)
-                    G0_int = 2.0 * pi * self.r_grid[0] ** (-alpha) * kernel_t(sp, ry, 2, alpha)
-                    I += self._ring_in(s, self.r_grid, G0_int, alpha)[:, None]
-                acc += wv * I
-            out[k] = kappa * tk * acc
-        self._p1 = out
-        return out
+        if len(self._terms) == 1:
+            self._terms.append(self._time_integral(self._first_node, self.v_rule))
+        return self._terms[1]
+
+    def _first_node(self, s: float, sp: float) -> np.ndarray:
+        """int p(s, z, w) |w|^{-alpha} p(sp, w, y) dw on the grid, subtracted
+        around the peak of the narrower factor."""
+        alpha, ry = self.params.alpha, self.ry
+        rinv = self.r_grid[:, None] ** (-alpha)
+        if s <= sp:
+            # outer kernel peaked at z: subtract around z
+            return self._convolve(s, rinv * self._free_at_y(sp), alpha)
+        # free factor peaked at y: subtract around y
+        py = self._free_at_y(sp)
+        massY = float(np.sum(self.cell_w * py))
+        lamY, scaleY = _resolution_blend(ry, sp, alpha, 1.0, massY)
+        I = self._apply(self._kernel_fft(s), scaleY * py * rinv)
+        fy = kernel_t(s, self.dist_y, 2, alpha) * ry ** (-alpha)
+        I += lamY * (1.0 - scaleY * massY) * fy
+        # inner disc of the w-integral (|w|^{-alpha} singular ring), with
+        # p(sp, w, y) frozen at p(sp, |y|)
+        G0_int = 2.0 * pi * self.r_grid[0] ** (-alpha) * kernel_t(sp, ry, 2, alpha)
+        I += self._ring_in(s, self.r_grid, G0_int, alpha)[:, None]
+        return I
 
     # -- Duhamel sweeps ------------------------------------------------------
 
@@ -554,34 +546,28 @@ class PlanarKernelEngine:
         logV = np.log(np.maximum(V[i:i + 2], 1e-300))
         return np.exp((1.0 - f) * logV[0] + f * logV[1])
 
+    def _time_integral(self, node, rule) -> np.ndarray:
+        """_duhamel_sum at every grid time tau, stacked along the first axis."""
+        return np.stack([_duhamel_sum(self.params.kappa, tk, node, rule) for tk in self.tau])
+
     def apply_duhamel(self, V: np.ndarray) -> np.ndarray:
         """One application of the perturbation operator to V(tau, r, theta)."""
-        alpha, kappa = self.params.alpha, self.params.kappa
-        out = np.empty_like(V)
+        alpha = self.params.alpha
         rinv = self.r_grid[:, None] ** (-alpha)
-        for k, tk in enumerate(self.tau):
-            acc = np.zeros((len(self.r_grid), self.n_theta))
-            for v, wv in zip(self.v_nodes_lean, self.v_weights_lean):
-                s = max(tk * v, 1e-300)
-                G = rinv * self._interp_time(V, tk * (1.0 - v))
-                G0_int = self.w_theta * float(np.sum(G[0]))
-                ring = self._ring_in(s, self.r_grid, G0_int, alpha + self._slope_in)
-                acc += wv * (self._convolve(s, G) + ring[:, None])
-            out[k] = kappa * tk * acc
-        return out
+        q = alpha + self._slope_in
+        return self._time_integral(
+            lambda s, sp: self._convolve(s, rinv * self._interp_time(V, sp), q),
+            self.v_rule_lean)
 
     # -- series / fixed point ------------------------------------------------
 
-    def terms(self, n_terms: int) -> list:
-        """Grid series terms [p_0, p_1, ..., p_{n_terms}] (cached)."""
-        cache = self._terms_cache
-        if not cache:
-            cache.append(self._p0)
-        if n_terms >= 1 and len(cache) < 2:
-            cache.append(self.first_term())
-        while len(cache) <= n_terms:
-            cache.append(self.apply_duhamel(cache[-1]))
-        return cache[: n_terms + 1]
+    def term(self, n: int) -> np.ndarray:
+        """Grid series term p_n (cached)."""
+        if n >= 1:
+            self.first_term()
+        while len(self._terms) <= n:
+            self._terms.append(self.apply_duhamel(self._terms[-1]))
+        return self._terms[n]
 
     def fixed_point(self):
         """(V, converged, n_iter): iterate V <- p_1 + K V to stall (cached).
@@ -709,8 +695,7 @@ def tilde_p(t: float, x, y, params: ModelParams,
     eng = _get_engine(params, t, y, cfg)
     converged = False
     for n in range(1, cfg.max_terms + 1):
-        grid_terms = eng.terms(n)
-        terms.append(float(eng._value_from_grid(grid_terms[n][-1], x)))
+        terms.append(float(eng._value_from_grid(eng.term(n)[-1], x)))
         if n >= 3:
             q = abs(terms[-1]) / max(abs(terms[-2]), 1e-300)
             partial = float(np.sum(terms))
@@ -767,7 +752,7 @@ def duhamel_residual(t: float, x, y, p_tilde_eval, params: ModelParams) -> float
     p1_xy = float(eng._value_from_grid(eng.first_term()[-1], y))
     ptilde = p0_xy + v_xy
     if kappa == 0.0:
-        return abs(v_xy) / ptilde
+        return abs(v_xy - p1_xy) / ptilde
     # geometry of the grid relative to the requested y
     r = eng.r_grid
     ry = float(np.hypot(y[0], y[1]))
@@ -778,9 +763,8 @@ def duhamel_residual(t: float, x, y, p_tilde_eval, params: ModelParams) -> float
         - 2.0 * r[:, None] * ry * np.cos(th_global[None, :] - th_y), 0.0))
     rinv = r[:, None] ** (-alpha)
     q_in = alpha + eng._slope_in
-    acc = 0.0
-    for v, wv in zip(eng.v_nodes, eng.v_weights):
-        s, sp = max(t * v, 1e-300), max(t * (1.0 - v), 1e-300)
+
+    def node(s: float, sp: float) -> float:
         Vs = eng._interp_time(V, s)
         G = Vs * rinv
         P = kernel_t(sp, dz_y, 2, alpha)
@@ -792,7 +776,7 @@ def duhamel_residual(t: float, x, y, p_tilde_eval, params: ModelParams) -> float
         I += lam_y * (1.0 - scale * mass) * g_y
         # inner disc: continue V |z|^{-alpha} inward as a power law, kernel
         # frozen at distance |y|
-        I += eng._ring_in(sp, ry, eng.w_theta * float(np.sum(G[0])), q_in)
-        acc += wv * I
-    J = kappa * t * acc
+        return I + eng._ring_in(sp, ry, eng.w_theta * float(np.sum(G[0])), q_in)
+
+    J = _duhamel_sum(kappa, t, node, eng.v_rule)
     return abs(v_xy - p1_xy - J) / ptilde

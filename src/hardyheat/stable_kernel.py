@@ -32,7 +32,7 @@ from .quadrature import log_panel_nodes, panel_nodes, sphere_angle_rule
 _ALPHA_ONE_TOL = 1e-12
 _SERIES_TOL = 1e-10     # relative truncation tolerance of the p_1 series
 _ANGULAR_NODES = 32     # angular nodes of the spherical mean
-_BLOCK_ROWS = 2048      # rows of angular nodes per kernel evaluation (0.5 MB)
+_BLOCK_ROWS = 1024      # rows of angular nodes per kernel evaluation (0.25 MB)
 _LOG_TINY = log(float_info.min)   # log of the smallest normal float
 _LOG_HUGE = log(float_info.max)   # log of the largest float
 
@@ -345,6 +345,17 @@ def radius(x) -> float:
     return r
 
 
+def _unit_radius(t: float, r: float, alpha: float) -> float:
+    """rho = r t^{-1/alpha}, where p_t(r) = t^{-d/alpha} p_1(rho); inf for
+    r > 0 where t^{-1/alpha} is beyond any float."""
+    if is_cauchy(alpha):
+        return r / t
+    try:
+        return r * t ** (-1.0 / alpha)
+    except OverflowError:
+        return inf if r > 0.0 else 0.0
+
+
 def free_kernel(t: float, x, d: int, alpha: float) -> KernelValue:
     """The free heat kernel p_t(x) with provenance and error estimate.
 
@@ -356,14 +367,11 @@ def free_kernel(t: float, x, d: int, alpha: float) -> KernelValue:
     r = radius(x)
     cauchy = is_cauchy(alpha)
     if cauchy:
-        method, expo, rho = Method.CLOSED_FORM, -d, r / t
+        method, expo = Method.CLOSED_FORM, -d
     else:
         _check_alpha(d, alpha)
         method, expo = Method.FOURIER_INVERSION, -d / alpha
-        try:
-            rho = r * t ** (-1.0 / alpha)
-        except OverflowError:          # t^{-1/alpha} is beyond any float
-            rho = inf if r > 0.0 else 0.0
+    rho = _unit_radius(t, r, alpha)
     if _in_far_tail(rho, d, alpha):
         # p_1(rho) is below the smallest normal float, and the factor s cannot
         # restore its lost digits: take the leading tail term A t r^{-d-alpha},
@@ -397,22 +405,18 @@ def _exp(x: float) -> float:
 
 
 def free_kernel_bound_ratio(t: float, x, d: int, alpha: float) -> float:
-    """Ratio of p_t(x) to the envelope min(t^{-d/alpha}, t |x|^{-d-alpha})."""
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    r = radius(x)
-    p = free_kernel(t, r, d, alpha).value
-    try:
-        bound = t ** (-d / alpha)
-        if r > 0.0:
-            bound = min(bound, t * r ** (-d - alpha))
-    except OverflowError:
-        # a power of a tiny t or |x| overflows: the envelope in logs
-        log_bound = -d / alpha * log(t)
-        if r > 0.0:
-            log_bound = min(log_bound, log(t) - (d + alpha) * log(r))
-        return _exp(log(p) - log_bound)
-    return p / bound
+    """Ratio of p_t(x) to the envelope min(t^{-d/alpha}, t |x|^{-d-alpha}).
+
+    Both carry the factor t^{-d/alpha} at rho = |x| t^{-1/alpha}, so the
+    ratio is p_1(rho) max(1, rho^{d+alpha}), with no power of t or |x|; where
+    p_1(rho) is its leading tail term A rho^{-d-alpha} it is A.
+    """
+    if not 0.0 < t < np.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
+    rho = _unit_radius(t, radius(x), alpha)
+    if _in_far_tail(rho, d, alpha):
+        return levy_constant(d, alpha)
+    return unit_density(rho, d, alpha)[0] * max(1.0, rho ** (d + alpha))
 
 
 def levy_symbol(xi_norm: float, d: int, alpha: float) -> float:
@@ -563,21 +567,20 @@ def angular_chords(a, r, d: int):
     return np.sqrt(out, out=out)
 
 
-def angular_mean(t: float, chords, d: int, alpha: float, out,
-                 threads: int) -> None:
-    """Spherical mean of p_t over each row of a 2-d table of angular_chords,
-    written into out; the same numbers as angular_average.
+def angular_mean(t: float, chords, d: int, alpha: float) -> np.ndarray:
+    """Spherical mean of p_t over each row of a 2-d table of angular_chords;
+    the same numbers as angular_average.
 
-    The kernel is evaluated in blocks of _BLOCK_ROWS // threads rows, so that
-    its temporaries stay small however long the table is, and the calls of
-    that many threads at once hold no more of them than one call.
+    The kernel is evaluated in blocks of _BLOCK_ROWS rows, so that its
+    temporaries stay small however long the table is.
     """
     _, w = sphere_angle_rule(d, _ANGULAR_NODES)
-    rows = max(1, _BLOCK_ROWS // threads)
-    for lo in range(0, len(chords), rows):
-        vals = kernel_t(t, chords[lo:lo + rows], d, alpha)
+    out = np.empty(len(chords))
+    for lo in range(0, len(chords), _BLOCK_ROWS):
+        vals = kernel_t(t, chords[lo:lo + _BLOCK_ROWS], d, alpha)
         vals *= w
-        np.sum(vals, axis=-1, out=out[lo:lo + rows])
+        np.sum(vals, axis=-1, out=out[lo:lo + _BLOCK_ROWS])
+    return out
 
 
 def angular_average(t: float, a, r, d: int, alpha: float):

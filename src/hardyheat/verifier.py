@@ -79,11 +79,9 @@ def _free_convolution(s: float, t: float, x, y, d: int, alpha: float) -> float:
     r, w = log_panel_nodes(1e-4, 1e3, n_per_panel=8, per_decade=5)
     n_th = 128
     th = 2.0 * pi * np.arange(n_th) / n_th
-    zx = y[0] + r[:, None] * np.cos(th)
-    zy = y[1] + r[:, None] * np.sin(th)
-    dx = np.hypot(zx - x[0], zy - x[1])
-    dy = r[:, None] * np.ones(n_th)
-    vals = kernel_t(s, dx, d, alpha) * kernel_t(t, dy, d, alpha)
+    z = _polar_points(r, th, y)
+    dx = np.hypot(z[..., 0] - x[0], z[..., 1] - x[1])
+    vals = kernel_t(s, dx, d, alpha) * kernel_t(t, r, d, alpha)[:, None]
     return float(np.sum((w * r)[:, None] * vals) * (2.0 * pi / n_th))
 
 

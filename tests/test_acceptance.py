@@ -43,6 +43,8 @@ from hardyheat.stable_kernel import (
 from hardyheat.verifier import blowup_probe, bounds_scan, check_invariance, \
     check_H_supermedian, check_supermedian
 
+pytestmark = pytest.mark.acceptance
+
 KS2 = kappa_star(2, 1.0)
 
 

@@ -85,6 +85,20 @@ def test_duhamel_residual(ref_subcritical):
     assert res < 1e-3
 
 
+def test_duhamel_residual_arguments(ref_free):
+    # the residual integrates an engine centred at x with horizon t; at zero
+    # coupling the engine's correction is 0 and the Duhamel form holds exactly
+    cfg = QuadratureConfig(time_subdivisions=4, radial_per_decade=1, n_angular=8)
+    eng = PlanarKernelEngine(ref_free, 1.0, X, cfg)
+    with pytest.raises(DomainError, match="pointwise engine"):
+        duhamel_residual(1.0, X, Y, object(), ref_free)
+    with pytest.raises(DomainError, match="centered at x"):
+        duhamel_residual(1.0, (2.0, 0.0), Y, eng, ref_free)
+    with pytest.raises(DomainError, match="horizon"):
+        duhamel_residual(2.0, X, Y, eng, ref_free)
+    assert duhamel_residual(1.0, X, Y, eng, ref_free) == 0.0
+
+
 def test_engine_symmetry(ref_subcritical):
     # p(t, x, y) = p(t, y, x): two engines centered at either point agree
     cfg = QuadratureConfig()
@@ -140,18 +154,17 @@ def test_radial_angular_means_match_angular_average(alpha):
     # the operator build reads both triangles of the grid means from the
     # pairs i <= j only, and the inner-ring means from a flattened table;
     # both must be angular_average to the last bit.  The 64 radii give 2080
-    # pairs, full blocks and a partial one, for the blocks of 1 and 2 workers.
+    # pairs, full blocks and a partial one.
     r, _ = log_panel_nodes(1e-5, 1e3, n_per_panel=8, per_decade=1)
     a_in, _ = log_panel_nodes(1e-9, 1e-5, 8, 2)
-    for workers in (1, 2):
-        assert len(r) * (len(r) + 1) // 2 % (stable_kernel._BLOCK_ROWS // workers)
-        means = duhamel._AngularMeans(r, a_in, 2, alpha, workers)
-        for s in (1e-6, 0.3, 0.99):
-            grid, ring = means.at(s)
-            assert np.array_equal(
-                grid, angular_average(s, r[:, None], r[None, :], 2, alpha))
-            assert np.array_equal(
-                ring, angular_average(s, r[:, None], a_in[None, :], 2, alpha))
+    assert len(r) * (len(r) + 1) // 2 % stable_kernel._BLOCK_ROWS
+    means = duhamel._AngularMeans(r, a_in, 2, alpha)
+    for s in (1e-6, 0.3, 0.99):
+        grid, ring = means.at(s)
+        assert np.array_equal(
+            grid, angular_average(s, r[:, None], r[None, :], 2, alpha))
+        assert np.array_equal(
+            ring, angular_average(s, r[:, None], a_in[None, :], 2, alpha))
 
 
 def _read_one(eng, U, x):

@@ -152,6 +152,10 @@ def test_free_kernel_envelope_at_tiny_times():
         levy_constant(2, 1.0), rel=1e-12)
     assert free_kernel_bound_ratio(1e-200, 1.0, 2, 1.5) == pytest.approx(
         levy_constant(2, 1.5), rel=1e-6)
+    # where p_t(x) and the envelope both underflow, or rho overflows
+    for t, r, alpha in [(1.0, 1e200, 1.0), (1.0, 1e100, 1.5), (1e-200, 1e200, 1.0)]:
+        assert free_kernel_bound_ratio(t, r, 2, alpha) == pytest.approx(
+            levy_constant(2, alpha), rel=1e-12)
 
 
 def test_radius():
