@@ -28,6 +28,7 @@ which stays accurate when the kernel peak is narrower than the grid spacing.
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -56,7 +57,16 @@ _SIGMA_PER_PANEL = 6      # Gauss points per time panel of the radial engine
 _SIGMA_EDGE = 1e-8        # its relative refinement depth at the time endpoints
 _RADIAL_R_MAX = 1e3       # outer radius of the radial engine's grid
 _PLANAR_R_MIN, _PLANAR_R_MAX = 1e-3, 3e2   # radial extent of the planar grid
-_MAX_WORKERS = 4          # threads that assemble one radial operator, at most
+_MAX_WORKERS = 4          # threads of one radial build or planar sweep, at most
+# OpenBLAS runs an (m, k) @ (k, n) product on the calling thread when
+# m * k * n <= 1e6, and on its own threads above that.  Split into column
+# blocks whose widths are multiples of 8, a product keeps the bits of one
+# whole call; blocks of other widths (1, 4, 15, 27, 2267 columns) and
+# single-row blocks moved them.  Measured with OpenBLAS 0.3.31 on an AVX-512
+# Xeon, from the CPU time of its worker thread: the largest one-thread
+# products were 17 x 17 x 3456, 21 x 21 x 2176, 192 x 192 x 27 and
+# 256 x 256 x 15.
+_BLAS_ONE_THREAD = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -151,11 +161,12 @@ def _log_interp_matrix(r_grid: np.ndarray, targets: np.ndarray, gamma: float) ->
     return mat
 
 
-def _assembly_workers() -> int:
-    """Threads that assemble a radial operator: HARDYHEAT_THREADS when set,
-    otherwise the CPUs this process may run on; never more than those CPUs
-    (more threads contend for the GIL: 4 on 2 CPUs ran slower than 1), nor
-    more than _MAX_WORKERS."""
+def _workers() -> int:
+    """Threads of the package's worker pool, which assembles a radial
+    operator over its time nodes and runs a planar time integral over the
+    grid times tau: HARDYHEAT_THREADS when set, otherwise the CPUs this
+    process may run on; never more than those CPUs (more threads contend
+    for the GIL: 4 on 2 CPUs ran slower than 1), nor more than _MAX_WORKERS."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -163,6 +174,19 @@ def _assembly_workers() -> int:
     env = os.environ.get("HARDYHEAT_THREADS", "").strip()
     n = int(env) if env.isdigit() else cpus
     return max(1, min(n, cpus, _MAX_WORKERS))
+
+
+def _matmul_one_thread(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into out, in column blocks that OpenBLAS computes on the calling
+    thread, so that the worker pool is the only parallelism whether or not
+    the caller pinned BLAS.  b has a multiple of 8 columns (the grids have 8
+    radii per panel), so every block does too, and out has the bits of one
+    whole product.  Above 353 rows even 8 columns exceed _BLAS_ONE_THREAD;
+    the blocks then keep the bits, not the thread."""
+    step = max(8, _BLAS_ONE_THREAD // (a.shape[0] * a.shape[1]) // 8 * 8)
+    for lo in range(0, b.shape[1], step):
+        np.matmul(a, b[:, lo:lo + step], out=out[:, lo:lo + step])
+    return out
 
 
 def _ordered_map(fn, n: int, workers: int):
@@ -262,7 +286,7 @@ class RadialWeightedEngine:
         area = sphere_area(d)
         a_levy = levy_constant(d, alpha)
         a_in, w_in = log_panel_nodes(1e-4 * self.cfg.eps0, self.cfg.eps0, 8, 2)
-        workers = _assembly_workers()
+        workers = _workers()
         means = _AngularMeans(r, a_in, d, alpha)
         # the first call caches p_1's interpolant: make it before the workers
         unit_density_grid(0.0, d, alpha)
@@ -288,7 +312,7 @@ class RadialWeightedEngine:
             # in place: each worker holds few n x n temporaries at a time
             theta *= scale[:, None]
             mass = mass * scale
-            term = theta @ DR
+            term = _matmul_one_thread(theta, DR, np.empty((n, n)))
             term += (lam * (1.0 - mass))[:, None] * DR
             term *= kappa * ws
             # ring corrections outside the grid: below eps0 the integrand is
@@ -428,10 +452,15 @@ class PlanarKernelEngine:
         self.cell_w = (self.r_weights * r)[:, None] * self.w_theta  # area weights
         delta = params.delta if np.isfinite(params.delta) else (params.d - params.alpha) / 2.0
         self._slope_in = delta
+        # also fills p_1's interpolant cache (alpha != 1) before any worker runs
         self._p0 = np.array([self._free_at_y(tk) for tk in self.tau])
         self._terms = [self._p0]   # the grid series terms p_0, p_1, ... so far
         self._fp = None
-        self._ws = None   # _kernel_fft buffers, allocated on first use
+        self._local = threading.local()   # each thread's _kernel_fft buffers
+        # the blend coefficients at each time s, see _coefficients; the tau
+        # tasks of a sweep fill it concurrently, so it is guarded by a lock
+        self._coef = {}
+        self._coef_lock = threading.Lock()
 
     # -- free-kernel helpers -------------------------------------------------
 
@@ -445,22 +474,23 @@ class PlanarKernelEngine:
 
         The kernel is even in the lag, so the transform is real and one
         matrix product over the lags 0..n_theta/2.  The result lives in a
-        workspace that the next call overwrites: a sweep makes hundreds of
-        these calls, and fresh arrays of this size would be returned to the
-        OS on every free and page-faulted back in.
+        workspace of the calling thread that its next call overwrites: a
+        sweep makes hundreds of these calls, and fresh arrays of this size
+        would be returned to the OS on every free and page-faulted back in.
         """
-        if self._ws is None:
-            self._ws = tuple(np.empty_like(self.dist2) for _ in range(3))
-        q, P, khat = self._ws
+        ws = getattr(self._local, "ws", None)
+        if ws is None:
+            ws = self._local.ws = (np.empty_like(self.dist2), np.empty_like(self.dist2))
+        P, khat = ws
         if is_cauchy(self.params.alpha):
-            np.add(self.dist2, s * s, out=q)
+            q = np.add(self.dist2, s * s, out=khat)   # q is dead before khat is written
             np.sqrt(q, out=P)
             np.multiply(q, P, out=P)
             np.divide(s / (2.0 * pi), P, out=P)
         else:
             P = kernel_t(s, np.sqrt(self.dist2), 2, self.params.alpha)
         m = len(self._lag_cos)
-        np.matmul(self._lag_cos, P.reshape(m, -1), out=khat.reshape(m, -1))
+        _matmul_one_thread(self._lag_cos, P.reshape(m, -1), khat.reshape(m, -1))
         return khat
 
     def _apply(self, khat: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -471,9 +501,22 @@ class PlanarKernelEngine:
         I = np.matmul(khat, g).view(complex)[..., 0]
         return np.fft.irfft(I.T, n=self.n_theta, axis=-1)
 
-    def _mass(self, khat: np.ndarray) -> np.ndarray:
-        """Discrete kernel mass per radius (angle-independent)."""
-        return khat[0] @ self.cell_w[:, 0]   # frequency 0 carries the angle sum
+    def _coefficients(self, s: float, khat: np.ndarray):
+        """(scale, lam (1 - scale mass), p_s on r_grid) of the resolution
+        blend at time s, khat being _kernel_fft(s).  They depend on s alone,
+        so they are computed on the first call and read from the table by
+        every later sweep."""
+        with self._coef_lock:
+            coef = self._coef.get(s)
+        if coef is None:
+            alpha = self.params.alpha
+            p_s = kernel_t(s, self.r_grid, 2, alpha)
+            mass = khat[0] @ self.cell_w[:, 0]   # frequency 0 sums the angles
+            lam, scale = _resolution_blend(self.r_grid, s, alpha,
+                                           1.0 - pi * self.r_min ** 2 * p_s, mass)
+            with self._coef_lock:
+                coef = self._coef.setdefault(s, (scale, lam * (1.0 - scale * mass), p_s))
+        return coef
 
     def _convolve(self, s: float, G: np.ndarray, q: float) -> np.ndarray:
         """int p(s, z, w) G(w) dw with the resolution blend and inner ring.
@@ -481,27 +524,24 @@ class PlanarKernelEngine:
         G lives on the grid; below r_min it is continued per angle as the
         power law a^{-q} carried by the first radial circle.
         """
-        alpha = self.params.alpha
         khat = self._kernel_fft(s)
-        mass = self._mass(khat)
-        disc = pi * self.r_min ** 2 * kernel_t(s, self.r_grid, 2, alpha)
-        lam, scale = _resolution_blend(self.r_grid, s, alpha, 1.0 - disc, mass)
+        scale, blend, p_s = self._coefficients(s, khat)
         out = scale[:, None] * self._apply(khat, G)
-        out += (lam * (1.0 - scale * mass))[:, None] * G
-        out += self._ring_in(s, self.r_grid, self.w_theta * float(np.sum(G[0])), q)[:, None]
+        out += blend[:, None] * G
+        out += self._ring_in(p_s, self.w_theta * float(np.sum(G[0])), q)[:, None]
         return out
 
-    def _ring_in(self, s: float, radius, G0_int: float, q: float):
+    def _ring_in(self, p_frozen, G0_int: float, q: float):
         """Inner-disc contribution of int p(s, z, w) G(w) dw.
 
         G is continued inside the first radial circle r_0 as the power law
         G(r_0, theta) (a / r_0)^{-q}, whose angular integral on that circle
-        is G0_int, and the kernel is frozen at its value at distance radius
-        (|z|, or |y| when the disc is integrated against p(s, ., y)).
+        is G0_int, and the kernel is frozen at p_frozen, its value at
+        distance |z| (or |y| when the disc is integrated against p(s, ., y)).
         """
         expo = 2.0 - q
         radial = self.r_min ** expo / expo * self.r_grid[0] ** q
-        return kernel_t(s, radius, 2, self.params.alpha) * (radial * G0_int)
+        return p_frozen * (radial * G0_int)
 
     # -- first perturbation term --------------------------------------------
 
@@ -509,6 +549,7 @@ class PlanarKernelEngine:
         """p_1 on the (tau, r, theta) grid, via both closed-form factors."""
         if len(self._terms) == 1:
             self._terms.append(self._time_integral(self._first_node, self.v_rule))
+            self._coef.clear()   # no sweep reads p_1's times
         return self._terms[1]
 
     def _first_node(self, s: float, sp: float) -> np.ndarray:
@@ -529,7 +570,7 @@ class PlanarKernelEngine:
         # inner disc of the w-integral (|w|^{-alpha} singular ring), with
         # p(sp, w, y) frozen at p(sp, |y|)
         G0_int = 2.0 * pi * self.r_grid[0] ** (-alpha) * kernel_t(sp, ry, 2, alpha)
-        I += self._ring_in(s, self.r_grid, G0_int, alpha)[:, None]
+        I += self._ring_in(kernel_t(s, self.r_grid, 2, alpha), G0_int, alpha)[:, None]
         return I
 
     # -- Duhamel sweeps ------------------------------------------------------
@@ -547,8 +588,14 @@ class PlanarKernelEngine:
         return np.exp((1.0 - f) * logV[0] + f * logV[1])
 
     def _time_integral(self, node, rule) -> np.ndarray:
-        """_duhamel_sum at every grid time tau, stacked along the first axis."""
-        return np.stack([_duhamel_sum(self.params.kappa, tk, node, rule) for tk in self.tau])
+        """_duhamel_sum at every grid time tau, stacked along the first axis.
+
+        The times are independent: they run on the worker pool, and each is
+        summed as on one thread, so the result has the same bits for any
+        number of workers."""
+        kappa, tau = self.params.kappa, self.tau
+        return np.stack(list(_ordered_map(
+            lambda k: _duhamel_sum(kappa, tau[k], node, rule), len(tau), _workers())))
 
     def apply_duhamel(self, V: np.ndarray) -> np.ndarray:
         """One application of the perturbation operator to V(tau, r, theta)."""
@@ -740,7 +787,9 @@ def duhamel_residual(t: float, x, y, p_tilde_eval, params: ModelParams) -> float
         raise DomainError("duhamel_residual needs a pointwise engine evaluator")
     eng = p_tilde_eval
     x, y = _as_point(x), _as_point(y)
-    if abs(float(np.hypot(x[0], x[1])) - eng.ry) > 1e-12 * max(1.0, eng.ry):
+    turn = (float(np.arctan2(x[1], x[0])) - eng.y_angle + pi) % (2.0 * pi) - pi
+    if (abs(float(np.hypot(x[0], x[1])) - eng.ry) > 1e-12 * max(1.0, eng.ry)
+            or abs(turn) > 1e-12):
         raise DomainError("the evaluator must be centered at x")
     if abs(t - eng.tau[-1]) > 1e-12 * t:
         raise DomainError("the evaluator horizon must equal t")
@@ -776,7 +825,8 @@ def duhamel_residual(t: float, x, y, p_tilde_eval, params: ModelParams) -> float
         I += lam_y * (1.0 - scale * mass) * g_y
         # inner disc: continue V |z|^{-alpha} inward as a power law, kernel
         # frozen at distance |y|
-        return I + eng._ring_in(sp, ry, eng.w_theta * float(np.sum(G[0])), q_in)
+        return I + eng._ring_in(kernel_t(sp, ry, 2, alpha),
+                                eng.w_theta * float(np.sum(G[0])), q_in)
 
     J = _duhamel_sum(kappa, t, node, eng.v_rule)
     return abs(v_xy - p1_xy - J) / ptilde

@@ -94,6 +94,8 @@ def test_duhamel_residual_arguments(ref_free):
         duhamel_residual(1.0, X, Y, object(), ref_free)
     with pytest.raises(DomainError, match="centered at x"):
         duhamel_residual(1.0, (2.0, 0.0), Y, eng, ref_free)
+    with pytest.raises(DomainError, match="centered at x"):
+        duhamel_residual(1.0, (0.0, 1.0), Y, eng, ref_free)
     with pytest.raises(DomainError, match="horizon"):
         duhamel_residual(2.0, X, Y, eng, ref_free)
     assert duhamel_residual(1.0, X, Y, eng, ref_free) == 0.0
@@ -199,17 +201,20 @@ def test_engine_cache_keys(ref_subcritical, monkeypatch):
         cfg.n_angular = 16
 
 
-# a coarser grid than the default keeps the builds short; the terms are
+# coarser grids than the default keep the builds short; the terms are
 # summed in the same order on every grid
 _BUILD = """
 import hashlib, sys
-from hardyheat.duhamel import QuadratureConfig, RadialWeightedEngine
+from hardyheat.duhamel import PlanarKernelEngine, QuadratureConfig, RadialWeightedEngine
 from hardyheat.params import ModelParams, kappa_star
 cfg = QuadratureConfig(radial_per_decade=2, sigma_per_decade=1.0)
+planar = QuadratureConfig(time_subdivisions=4, radial_per_decade=1, n_angular=8)
 for alpha in (1.0, 1.5):
     p = ModelParams.from_kappa(2, alpha, 0.5 * kappa_star(2, alpha))
     op = RadialWeightedEngine(p, p.delta, cfg)._operator
-    print(hashlib.sha256(op.tobytes()).hexdigest())
+    eng = PlanarKernelEngine(p, 1.0, (1.0, 0.0), planar)
+    for a in (op, eng.first_term(), eng.fixed_point()[0]):
+        print(hashlib.sha256(a.tobytes()).hexdigest())
 status = open("/proc/self/status").read().splitlines()
 print([line.split()[1] for line in status if line.startswith("Threads:")][0])
 """
@@ -217,9 +222,9 @@ print([line.split()[1] for line in status if line.startswith("Threads:")][0])
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="reads the thread count from /proc/self/status")
-def test_radial_operator_is_independent_of_the_workers():
-    # K is summed in node order whatever the number of assembly workers;
-    # with one worker no pool thread starts
+def test_results_are_independent_of_the_workers():
+    # K is summed in node order and each planar time slice on one thread,
+    # whatever the number of workers; with one worker no pool thread starts
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "GOTO_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -231,22 +236,33 @@ def test_radial_operator_is_independent_of_the_workers():
         res = subprocess.run([sys.executable, "-c", _BUILD], env=env, timeout=300,
                              capture_output=True, text=True, check=True)
         out[workers] = res.stdout.split()
-    assert out["1"][:2] == out["2"][:2]
-    assert out["1"][2] == "1"
+    assert len(out["1"]) == 7
+    assert out["1"][:-1] == out["2"][:-1]
+    assert out["1"][-1] == "1"
 
 
-def test_radial_operator_under_thread_switching(monkeypatch):
+def _builds(p):
+    """The radial operator, p_1 and the fixed point (iterate, flag, sweeps)
+    of small engines."""
+    radial = QuadratureConfig(radial_per_decade=1, sigma_per_decade=1.0)
+    planar = QuadratureConfig(time_subdivisions=4, radial_per_decade=1, n_angular=8)
+    eng = PlanarKernelEngine(p, 1.0, X, planar)
+    return (duhamel.RadialWeightedEngine(p, p.delta, radial)._operator,
+            eng.first_term(), *eng.fixed_point())
+
+
+def test_results_under_thread_switching(monkeypatch):
     # more workers than cores and a short switch interval: a buffer shared
-    # between workers, or a term added out of order, would move the bits
-    cfg = QuadratureConfig(radial_per_decade=1, sigma_per_decade=1.0)
+    # between workers, or a term or time slice stacked out of order, would
+    # move the bits
     p = ModelParams.from_kappa(2, 1.5, 0.5 * kappa_star(2, 1.5))
     monkeypatch.setenv("HARDYHEAT_THREADS", "1")
-    ref = duhamel.RadialWeightedEngine(p, p.delta, cfg)._operator
-    monkeypatch.setattr(duhamel, "_assembly_workers", lambda: 4)
+    ref = _builds(p)
+    monkeypatch.setattr(duhamel, "_workers", lambda: 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        op = duhamel.RadialWeightedEngine(p, p.delta, cfg)._operator
+        got = _builds(p)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(op, ref)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
