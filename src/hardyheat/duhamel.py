@@ -268,8 +268,8 @@ class RadialWeightedEngine:
         # r^{-max(beta, delta)} at the origin
         delta = params.delta if np.isfinite(params.delta) else (d - alpha) / 2.0
         self._slope_in = max(self.beta, delta)
-        self._operator = self._build_operator()
-        self._phi0 = np.array(
+        self.operator = self._build_operator()
+        self.phi0 = np.array(
             [weighted_mass(1.0, r, beta, d, alpha).value for r in self.r_grid]
         ) if beta > 0.0 else np.ones_like(self.r_grid)
 
@@ -342,7 +342,7 @@ class RadialWeightedEngine:
     def solve(self) -> np.ndarray:
         """Sum of the series by direct solve of (I - K) F = phi_0."""
         n = len(self.r_grid)
-        return np.linalg.solve(np.eye(n) - self._operator, self._phi0)
+        return np.linalg.solve(np.eye(n) - self.operator, self.phi0)
 
     def evaluator(self):
         """Callable F(t, radius) built from the t = 1 profile by scaling."""
@@ -391,6 +391,76 @@ def _duhamel_sum(kappa: float, t: float, node, rule):
     for v, wv in zip(*rule):
         acc += wv * node(max(t * v, 1e-300), max(t * (1.0 - v), 1e-300))
     return kappa * t * acc
+
+
+def _ring_in(r_min: float, r0: float, ring: float, q: float) -> float:
+    """int of G(w) over the disc |w| < r_min, G continued inside the first
+    radial circle r0 as the power law G(r0, theta) (|w| / r0)^{-q}, whose
+    angular integral on that circle is ring."""
+    expo = 2.0 - q
+    return r_min ** expo / expo * r0 ** q * ring
+
+
+@dataclass(frozen=True, eq=False)
+class KernelSlice:
+    """One array on a planar engine's log-polar grid, with the geometry that
+    reads and integrates it: values[i, j] sits at radius r_grid[i] and angle
+    y_angle + theta[j] (angle step w_theta, cell area cell_w[i, 0]), and
+    behaves like |z|^{-slope_in} inside r_min.  converged is the flag of the
+    fixed point that the values come from."""
+
+    r_grid: np.ndarray
+    theta: np.ndarray
+    w_theta: float
+    cell_w: np.ndarray
+    y_angle: float
+    r_min: float
+    slope_in: float
+    values: np.ndarray
+    converged: bool
+
+    def require_converged(self) -> "KernelSlice":
+        """This slice; DivergenceError if its fixed point has not converged."""
+        if not self.converged:
+            raise DivergenceError("the planar fixed point has not converged")
+        return self
+
+    def read(self, points) -> np.ndarray:
+        """Bilinear (log r, theta) interpolation of log values at the points
+        (last axis the coordinates); one value per point.
+
+        The radius is clamped to the grid: a point inside the first circle
+        r_grid[0] (so every point inside r_min) reads that circle's value,
+        not the |z|^{-slope_in} continuation, and a point beyond the last
+        circle reads the last circle's.  Continuing V as |z|^{-delta} in
+        the origin patch of Chapman-Kolmogorov's cross terms moves its lhs
+        by 4e-8 relative at kappa = 0.1 and by 2.0e-6 at kappa*, so the
+        clamp stays.
+        """
+        x = _as_point(points)
+        r, n = self.r_grid, len(self.theta)
+        rx = np.clip(np.hypot(x[..., 0], x[..., 1]), r[0], r[-1])
+        th = (np.arctan2(x[..., 1], x[..., 0]) - self.y_angle) % (2.0 * pi)
+        i = np.clip(np.searchsorted(r, rx) - 1, 0, len(r) - 2)
+        fr = np.log(rx / r[i]) / np.log(r[i + 1] / r[i])
+        # the fraction is taken before the index wraps: a point just below
+        # the axis has th -> 2 pi and reads column 0 at ft -> 0
+        jr = (th / (2.0 * pi) * n).astype(int)
+        ft = th / self.w_theta - jr
+        j = jr % n
+        j2 = (j + 1) % n
+        L = np.log(np.maximum(self.values, 1e-300))
+        val = ((1 - fr) * (1 - ft) * L[i, j] + (1 - fr) * ft * L[i, j2]
+               + fr * (1 - ft) * L[i + 1, j] + fr * ft * L[i + 1, j2])
+        return np.exp(val)
+
+    def integrate(self, weight: np.ndarray, q: float) -> float:
+        """int values(z) weight(z) dz, weight a grid array: the cell-weighted
+        grid sum plus the disc inside r_min, where the product is continued
+        as the power law |z|^{-q}."""
+        ring = self.w_theta * float(np.sum(self.values[0] * weight[0]))
+        return (float(np.sum(self.cell_w * self.values * weight))
+                + _ring_in(self.r_min, self.r_grid[0], ring, q))
 
 
 class PlanarKernelEngine:
@@ -528,20 +598,10 @@ class PlanarKernelEngine:
         scale, blend, p_s = self._coefficients(s, khat)
         out = scale[:, None] * self._apply(khat, G)
         out += blend[:, None] * G
-        out += self._ring_in(p_s, self.w_theta * float(np.sum(G[0])), q)[:, None]
+        # inner disc, with the kernel frozen at its value at distance |z|
+        ring = self.w_theta * float(np.sum(G[0]))
+        out += (p_s * _ring_in(self.r_min, self.r_grid[0], ring, q))[:, None]
         return out
-
-    def _ring_in(self, p_frozen, G0_int: float, q: float):
-        """Inner-disc contribution of int p(s, z, w) G(w) dw.
-
-        G is continued inside the first radial circle r_0 as the power law
-        G(r_0, theta) (a / r_0)^{-q}, whose angular integral on that circle
-        is G0_int, and the kernel is frozen at p_frozen, its value at
-        distance |z| (or |y| when the disc is integrated against p(s, ., y)).
-        """
-        expo = 2.0 - q
-        radial = self.r_min ** expo / expo * self.r_grid[0] ** q
-        return p_frozen * (radial * G0_int)
 
     # -- first perturbation term --------------------------------------------
 
@@ -569,8 +629,9 @@ class PlanarKernelEngine:
         I += lamY * (1.0 - scaleY * massY) * fy
         # inner disc of the w-integral (|w|^{-alpha} singular ring), with
         # p(sp, w, y) frozen at p(sp, |y|)
-        G0_int = 2.0 * pi * self.r_grid[0] ** (-alpha) * kernel_t(sp, ry, 2, alpha)
-        I += self._ring_in(kernel_t(s, self.r_grid, 2, alpha), G0_int, alpha)[:, None]
+        ring = 2.0 * pi * self.r_grid[0] ** (-alpha) * kernel_t(sp, ry, 2, alpha)
+        I += (kernel_t(s, self.r_grid, 2, alpha)
+              * _ring_in(self.r_min, self.r_grid[0], ring, alpha))[:, None]
         return I
 
     # -- Duhamel sweeps ------------------------------------------------------
@@ -652,32 +713,28 @@ class PlanarKernelEngine:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _value_from_grid(self, U_slice: np.ndarray, x) -> np.ndarray:
-        """Bilinear (log r, theta) interpolation of a grid slice at the
-        points x (last axis the coordinates); one value per point."""
-        x = _as_point(x)
-        r, n = self.r_grid, self.n_theta
-        rx = np.clip(np.hypot(x[..., 0], x[..., 1]), r[0], r[-1])
-        th = (np.arctan2(x[..., 1], x[..., 0]) - self.y_angle) % (2.0 * pi)
-        i = np.clip(np.searchsorted(r, rx) - 1, 0, len(r) - 2)
-        fr = np.log(rx / r[i]) / np.log(r[i + 1] / r[i])
-        # the fraction is taken before the index wraps: a point just below
-        # the axis has th -> 2 pi and reads column 0 at ft -> 0
-        jr = (th / (2.0 * pi) * n).astype(int)
-        ft = th / self.w_theta - jr
-        j = jr % n
-        j2 = (j + 1) % n
-        L = np.log(np.maximum(U_slice, 1e-300))
-        val = ((1 - fr) * (1 - ft) * L[i, j] + (1 - fr) * ft * L[i, j2]
-               + fr * (1 - ft) * L[i + 1, j] + fr * ft * L[i + 1, j2])
-        return np.exp(val)
+    def slice_of(self, values: np.ndarray, converged: bool) -> KernelSlice:
+        """The grid array values (radius, angle) as a slice of this grid."""
+        return KernelSlice(self.r_grid, self.theta, self.w_theta, self.cell_w,
+                           self.y_angle, self.r_min, self._slope_in, values, converged)
+
+    def slice(self) -> KernelSlice:
+        """p_tilde(t, ., y) = p_0 + V at the horizon, from the fixed point."""
+        V, ok, _ = self.fixed_point()
+        return self.slice_of(self._p0[-1] + V[-1], ok)
+
+    def correction(self) -> KernelSlice:
+        """V(t, ., y) = p_tilde - p_0 at the horizon, from the fixed point."""
+        V, ok, _ = self.fixed_point()
+        return self.slice_of(V[-1], ok)
 
     def value_at(self, x) -> KernelValue:
-        """p_tilde(t, x, y) from the converged fixed point."""
-        V, ok, _ = self.fixed_point()
-        val = float(self._value_from_grid(self._p0[-1] + V[-1], x))
+        """p_tilde(t, x, y) from the fixed point; the error is 5 times
+        larger when it has not converged."""
+        U = self.slice()
+        val = float(U.read(x))
         err = max(self.cfg.rel_tol, 2e-2) * val
-        return KernelValue(val, err if ok else 5.0 * err, Method.FIXED_POINT)
+        return KernelValue(val, err if U.converged else 5.0 * err, Method.FIXED_POINT)
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +759,8 @@ _RADIAL_CACHE: dict = {}
 _RADIAL_CACHE_MAX = 10
 
 
-def _get_engine(params: ModelParams, t: float, y,
-                cfg: QuadratureConfig = QuadratureConfig()) -> PlanarKernelEngine:
+def get_planar_engine(params: ModelParams, t: float, y,
+                      cfg: QuadratureConfig = QuadratureConfig()) -> PlanarKernelEngine:
     """Pointwise engine centered at y, cached across wrapper calls."""
     y = _as_point(y)
     key = (params.d, params.alpha, params.kappa, float(t), float(y[0]), float(y[1]), cfg)
@@ -739,10 +796,10 @@ def tilde_p(t: float, x, y, params: ModelParams,
     terms = [p0]
     if kappa == 0.0:
         return SeriesState(terms=terms, tail_bound=0.0, converged=True)
-    eng = _get_engine(params, t, y, cfg)
+    eng = get_planar_engine(params, t, y, cfg)
     converged = False
     for n in range(1, cfg.max_terms + 1):
-        terms.append(float(eng._value_from_grid(eng.term(n)[-1], x)))
+        terms.append(float(eng.slice_of(eng.term(n)[-1], True).read(x)))
         if n >= 3:
             q = abs(terms[-1]) / max(abs(terms[-2]), 1e-300)
             partial = float(np.sum(terms))
@@ -769,7 +826,7 @@ def tilde_p_fixed_point(t: float, x, y_grid, params: ModelParams) -> list:
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("the fixed point requires a subcritical or critical coupling")
     x = _as_point(x)
-    eng = _get_engine(params, t, x)
+    eng = get_planar_engine(params, t, x)
     return [eng.value_at(y) for y in y_grid]
 
 
@@ -796,13 +853,14 @@ def duhamel_residual(t: float, x, y, p_tilde_eval, params: ModelParams) -> float
     alpha, kappa = params.alpha, params.kappa
     dxy = float(np.hypot(x[0] - y[0], x[1] - y[1]))
     p0_xy = kernel_t(t, dxy, 2, alpha)
-    V, _, _ = eng.fixed_point()
-    v_xy = float(eng._value_from_grid(V[-1], y))
-    p1_xy = float(eng._value_from_grid(eng.first_term()[-1], y))
+    Vt = eng.correction().require_converged()
+    v_xy = float(Vt.read(y))
+    p1_xy = float(eng.slice_of(eng.first_term()[-1], True).read(y))
     ptilde = p0_xy + v_xy
     if kappa == 0.0:
         return abs(v_xy - p1_xy) / ptilde
     # geometry of the grid relative to the requested y
+    V = eng.fixed_point()[0]
     r = eng.r_grid
     ry = float(np.hypot(y[0], y[1]))
     th_global = eng.theta + eng.y_angle
@@ -814,19 +872,19 @@ def duhamel_residual(t: float, x, y, p_tilde_eval, params: ModelParams) -> float
     q_in = alpha + eng._slope_in
 
     def node(s: float, sp: float) -> float:
-        Vs = eng._interp_time(V, s)
-        G = Vs * rinv
+        Vs = replace(Vt, values=eng._interp_time(V, s))
+        G = Vs.values * rinv
         P = kernel_t(sp, dz_y, 2, alpha)
         mass = float(np.sum(eng.cell_w * P))
         # resolution blend around the kernel peak at z = y
         lam_y, scale = _resolution_blend(ry, sp, alpha, 1.0, mass)
-        g_y = float(eng._value_from_grid(np.maximum(Vs, 1e-300), y)) * max(ry, 1e-300) ** (-alpha)
+        g_y = float(Vs.read(y)) * max(ry, 1e-300) ** (-alpha)
         I = float(np.sum(eng.cell_w * P * G)) * scale
         I += lam_y * (1.0 - scale * mass) * g_y
         # inner disc: continue V |z|^{-alpha} inward as a power law, kernel
         # frozen at distance |y|
-        return I + eng._ring_in(kernel_t(sp, ry, 2, alpha),
-                                eng.w_theta * float(np.sum(G[0])), q_in)
+        ring = eng.w_theta * float(np.sum(G[0]))
+        return I + kernel_t(sp, ry, 2, alpha) * _ring_in(eng.r_min, r[0], ring, q_in)
 
     J = _duhamel_sum(kappa, t, node, eng.v_rule)
     return abs(v_xy - p1_xy - J) / ptilde

@@ -19,15 +19,17 @@ from .errors import DomainError
 from .params import ModelParams, Regime, kappa_of_beta
 from .quadrature import log_panel_nodes
 from .duhamel import (
+    KernelSlice,
     QuadratureConfig,
+    get_planar_engine,
     get_radial_engine,
     time_integrated_profile,
-    _get_engine,
 )
 from .results import CheckResult, make_result
 from .stable_kernel import kernel_t, radius
 
 # the comparability scan's radii and angles around y0 = (1, 0), and times
+_SCAN_Y0 = (1.0, 0.0)
 _SCAN_RADII = np.geomspace(1e-3, 1e2, 11)
 _SCAN_ANGLES = np.asarray([0.0, pi / 2.0, pi])
 _SCAN_TIMES = (0.25, 1.0, 4.0)
@@ -99,31 +101,22 @@ def check_chapman_kolmogorov(s: float, t: float, x, y,
         rhs = kernel_t(s + t, float(np.hypot(*(x - y))), params.d, params.alpha)
         defect = abs(lhs - rhs) / rhs
         return make_result("chapman_kolmogorov", defect, 1e-6, lhs=lhs, rhs=rhs)
-    eng_a = _get_engine(params, t, y)      # p~(t, z, y) on grid A
-    eng_b = _get_engine(params, s, x)      # p~(s, x, z) via symmetry
-    Va, _, _ = eng_a.fixed_point()
-    Vb, _, _ = eng_b.fixed_point()
-    Va_slice = Va[-1]
-    Vb_slice = Vb[-1]
+    Va = get_planar_engine(params, t, y).correction().require_converged()
+    Vb = get_planar_engine(params, s, x).correction().require_converged()
 
     # split p~ = p0 + V on both sides: the p0*p0 term is the free semigroup
     # in closed form, each p0*V cross term is integrated on a polar grid
     # centered at its kernel peak, and only the smooth V*V term uses the
     # origin-refined engine grid
     lhs = kernel_t(s + t, float(np.hypot(*(x - y))), params.d, params.alpha)
-    lhs += _peaked_cross(t, y, eng_b, Vb_slice, params)
-    lhs += _peaked_cross(s, x, eng_a, Va_slice, params)
-    r = eng_a.r_grid
-    th = eng_a.theta + eng_a.y_angle
-    Vb_on_a = eng_b._value_from_grid(Vb_slice, _polar_points(r, th))
-    lhs += float(np.sum(eng_a.cell_w * Va_slice * Vb_on_a))
-    # inner disc: both corrections behave like |z|^{-delta} there
-    delta = params.delta
-    q = 2.0 * delta
-    lhs += (float(np.mean(Va_slice[0] * Vb_on_a[0])) * 2.0 * pi
-            * r[0] ** q * eng_a.r_min ** (2.0 - q) / (2.0 - q))
-    eng_c = _get_engine(params, s + t, y)
-    rhs = eng_c.value_at(x).value
+    lhs += _peaked_cross(t, y, Vb, params)
+    lhs += _peaked_cross(s, x, Va, params)
+    # V*V on the grid centred at y, with V(s, x, z) read off the grid centred
+    # at x by symmetry; inside r_min both behave like |z|^{-delta}
+    Vb_on_a = Vb.read(_polar_points(Va.r_grid, Va.theta + Va.y_angle))
+    lhs += Va.integrate(Vb_on_a, Va.slope_in + Vb.slope_in)
+    Uc = get_planar_engine(params, s + t, y).slice().require_converged()
+    rhs = float(Uc.read(x))
     defect = abs(lhs - rhs) / rhs
     return make_result("chapman_kolmogorov", defect, 1e-2, lhs=lhs, rhs=rhs)
 
@@ -134,7 +127,7 @@ def _polar_points(r, th, center=(0.0, 0.0)) -> np.ndarray:
                      center[1] + r[:, None] * np.sin(th)[None, :]], axis=-1)
 
 
-def _peaked_cross(t_free: float, c_free, eng, V_slice,
+def _peaked_cross(t_free: float, c_free, V_slice: KernelSlice,
                   params: ModelParams) -> float:
     """int p0(t_free, z - c_free) V(z) dz on a peak-centered polar grid.
 
@@ -152,7 +145,7 @@ def _peaked_cross(t_free: float, c_free, eng, V_slice,
     z = _polar_points(r, th, c_free)
     rad = np.hypot(z[..., 0], z[..., 1])
     p0 = kernel_t(t_free, r, params.d, params.alpha)
-    V = eng._value_from_grid(V_slice, z)
+    V = V_slice.read(z)
     total = float(np.sum((w * r * p0)[:, None] * V) * (2.0 * pi / n_th))
     # origin refinement: V ~ |z|^{-delta} is not resolved by the peak grid
     # when the origin sits off-center, so add a local patch minus the coarse
@@ -168,7 +161,7 @@ def _peaked_cross(t_free: float, c_free, eng, V_slice,
         zp = _polar_points(rp, th)
         dfree = np.hypot(zp[..., 0] - c_free[0], zp[..., 1] - c_free[1])
         p0p = kernel_t(t_free, dfree, params.d, params.alpha)
-        Vp = eng._value_from_grid(V_slice, zp)
+        Vp = V_slice.read(zp)
         patch = float(np.sum((wp * rp)[:, None] * p0p * Vp)
                       * (2.0 * pi / n_th))
         total += patch - coarse
@@ -261,29 +254,22 @@ def check_invariance(beta: float, t: float, x,
 # Two-sided estimate scan
 
 
-def _kernel_slice(params: ModelParams, cfg: QuadratureConfig, y0):
-    """(engine, p~(1, ., y0) on its grid) from the cached fixed point."""
-    eng = _get_engine(params, 1.0, y0, cfg)
-    V, _, _ = eng.fixed_point()
-    return eng, eng._p0[-1] + V[-1]
+def _scan_ratios(params: ModelParams, U: KernelSlice, t: float) -> np.ndarray:
+    """p~/(p H H) at time t on the scan's (radius, angle) grid around y0.
 
-
-def _scan_ratios(params: ModelParams, cfg: QuadratureConfig, radii, angles,
-                 y0, t: float = 1.0) -> np.ndarray:
-    """p~/(p H H) at time t on the (radius, angle) grid around y0.
-
-    The t = 1 kernel is read at (x, y0) and mapped by exact scaling to
-    (t, lam x, lam y0) with lam = t^{1/alpha}; points at y0 are NaN.
+    The t = 1 kernel U = p~(1, ., y0) is read at x and mapped by exact
+    scaling to (t, lam x, lam y0) with lam = t^{1/alpha}; points at y0 are
+    NaN.
     """
-    eng, U = _kernel_slice(params, cfg, y0)
     d, alpha, delta = params.d, params.alpha, params.delta
     lam = t ** (1.0 / alpha)
+    y0 = _SCAN_Y0
     hy = float(H_weight(t, lam * np.hypot(*y0), delta, alpha))
-    x = _polar_points(radii, angles)
+    x = _polar_points(_SCAN_RADII, _SCAN_ANGLES)
     dist = lam * np.hypot(x[..., 0] - y0[0], x[..., 1] - y0[1])
-    val = eng._value_from_grid(U, x) * t ** (-d / alpha)
+    val = U.read(x) * t ** (-d / alpha)
     p = kernel_t(t, dist, d, alpha)
-    hx = H_weight(t, lam * radii, delta, alpha)[:, None]
+    hx = H_weight(t, lam * _SCAN_RADII, delta, alpha)[:, None]
     return np.where(dist < 1e-6 * lam, np.nan, val / (p * hx * hy))
 
 
@@ -296,18 +282,14 @@ def bounds_scan(params: ModelParams, refine_factor: float = 1.25) -> RatioReport
     """
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("the two-sided estimate requires a finite kernel")
-    cfg = QuadratureConfig()
-    radii, angles = _SCAN_RADII, _SCAN_ANGLES
-    y0 = (1.0, 0.0)
-    base = _scan_ratios(params, cfg, radii, angles, y0)
-    ratios = {1.0: base}
-    ratios.update((t, _scan_ratios(params, cfg, radii, angles, y0, t))
-                  for t in _SCAN_TIMES if t != 1.0)
+    U = get_planar_engine(params, 1.0, _SCAN_Y0).slice().require_converged()
+    ratios = {t: _scan_ratios(params, U, t) for t in _SCAN_TIMES}
     alpha, delta = params.alpha, params.delta
-    eng, U = _kernel_slice(params, cfg, y0)
-    c_lower = float(np.nanmin(base))
-    c_upper = float(np.nanmax(base))
-    fine = _scan_ratios(params, cfg.refined(refine_factor), radii, angles, y0)
+    c_lower = float(np.nanmin(ratios[1.0]))
+    c_upper = float(np.nanmax(ratios[1.0]))
+    fine_eng = get_planar_engine(params, 1.0, _SCAN_Y0,
+                                 QuadratureConfig().refined(refine_factor))
+    fine = _scan_ratios(params, fine_eng.slice().require_converged(), 1.0)
     drift = max(abs(float(np.nanmax(fine)) - c_upper) / c_upper,
                 abs(float(np.nanmin(fine)) - c_lower) / c_lower)
     # |x|^{-delta} slope fit at small radii, along the axis away from y0.
@@ -317,7 +299,7 @@ def bounds_scan(params: ModelParams, refine_factor: float = 1.25) -> RatioReport
     # r^{-delta} + 1 (modeled when the window can identify it, i.e. when
     # r^{-delta} varies appreciably across the window).
     fit_r = np.geomspace(2e-3, 3e-2, 6)
-    vals = eng._value_from_grid(U, np.stack([-fit_r, np.zeros_like(fit_r)], axis=-1))
+    vals = U.read(np.stack([-fit_r, np.zeros_like(fit_r)], axis=-1))
     p_ray = kernel_t(1.0, 1.0 + fit_r, params.d, alpha)
     log_r, log_v = np.log(fit_r), np.log(vals / p_ray)
     span = float(log_r[-1] - log_r[0])
@@ -328,8 +310,8 @@ def bounds_scan(params: ModelParams, refine_factor: float = 1.25) -> RatioReport
         slope = -float(popt[1])
     else:
         slope = float(np.polyfit(log_r, log_v, 1)[0])
-    return RatioReport(t_values=_SCAN_TIMES, radii=tuple(radii.tolist()),
-                       angles=tuple(angles.tolist()), ratios=ratios,
+    return RatioReport(t_values=_SCAN_TIMES, radii=tuple(_SCAN_RADII.tolist()),
+                       angles=tuple(_SCAN_ANGLES.tolist()), ratios=ratios,
                        c_lower=c_lower, c_upper=c_upper,
                        refinement_drift=float(drift), slope=slope,
                        slope_target=-delta)
@@ -361,9 +343,9 @@ def blowup_probe(t: float, x, params: ModelParams) -> BlowupReport:
     rx = radius(x)
     rho = rx * t ** (-1.0 / params.alpha)   # scaling reduction to t = 1
     i = int(np.argmin(np.abs(np.log(eng.r_grid) - log(rho))))
-    K = eng._operator
-    phi = eng._phi0.copy()
-    ref = float(eng._phi0[i])
+    K = eng.operator
+    phi = eng.phi0.copy()
+    ref = float(eng.phi0[i])
     log_scale = 0.0
     S = 0.0
     vals = []
@@ -401,14 +383,16 @@ def continuity_scan(params: ModelParams) -> CheckResult:
     """
     if params.regime is Regime.SUPERCRITICAL:
         raise DomainError("continuity diagnostics require a finite kernel")
-    eng, U = _kernel_slice(params, QuadratureConfig(), (1.0, 0.0))
+    U = get_planar_engine(params, 1.0, _SCAN_Y0).slice().require_converged()
     delta, alpha = params.delta, params.alpha
-    r = eng.r_grid
+    r = U.r_grid
     hy = float(H_weight(1.0, 1.0, delta, alpha))
-    dist = np.maximum(eng.dist_y, 1e-6)
-    bound = kernel_t(1.0, dist, params.d, alpha) \
+    # distances from the grid points to y0 = (1, 0)
+    dist = np.sqrt(np.maximum(
+        r[:, None] ** 2 + 1.0 - 2.0 * r[:, None] * np.cos(U.theta)[None, :], 0.0))
+    bound = kernel_t(1.0, np.maximum(dist, 1e-6), params.d, alpha) \
         * H_weight(1.0, r, delta, alpha)[:, None] * hy
-    norm = U / bound
+    norm = U.values / bound
 
     def max_jump(A: np.ndarray) -> float:
         dr = np.abs(np.diff(A, axis=0))

@@ -8,6 +8,7 @@ fractions of the critical value.
 import numpy as np
 import pytest
 
+from hardyheat import duhamel, verifier
 from hardyheat.params import ModelParams, kappa_star
 
 
@@ -30,3 +31,19 @@ def ref_free() -> ModelParams:
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260823)
+
+
+# one sweep on a coarse grid: the fixed point at kappa* cannot converge
+UNCONVERGED = duhamel.QuadratureConfig(max_terms=1, time_subdivisions=4,
+                                       radial_per_decade=1, n_angular=8)
+
+
+@pytest.fixture()
+def unconverged_engines(monkeypatch):
+    """The verifier's planar engines, built on UNCONVERGED whatever grid a
+    check asks for, in a cache of their own; returns UNCONVERGED."""
+    monkeypatch.setattr(duhamel, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(verifier, "get_planar_engine",
+                        lambda params, t, y, cfg=None: duhamel.get_planar_engine(
+                            params, t, y, UNCONVERGED))
+    return UNCONVERGED

@@ -147,6 +147,13 @@ def test_verify_supermedian_suite(runner):
     assert all("runtime" not in r for r in doc["results"])
 
 
+@pytest.mark.parametrize("args", [["bounds"], ["verify", "--suite", "chapman"]])
+def test_unconverged_fixed_point_exits_1(runner, unconverged_engines, args):
+    res = runner.invoke(main, args + ["--kappa", "critical"])
+    assert res.exit_code == 1
+    assert "not converged" in res.stderr
+
+
 def test_budget_exceeded(runner):
     res = runner.invoke(main, ["verify", "--suite", "supermedian",
                                "--kappa", "0.1", "--budget", "0.0"])

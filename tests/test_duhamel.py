@@ -14,12 +14,12 @@ from hardyheat import duhamel, stable_kernel
 from hardyheat.duhamel import (
     PlanarKernelEngine,
     QuadratureConfig,
-    _get_engine,
     duhamel_residual,
+    get_planar_engine,
     tilde_p,
     tilde_p_fixed_point,
 )
-from hardyheat.errors import DomainError
+from hardyheat.errors import DivergenceError, DomainError
 from hardyheat.params import ModelParams, kappa_star
 from hardyheat.quadrature import log_panel_nodes
 from hardyheat.stable_kernel import angular_average, kernel_t
@@ -80,7 +80,7 @@ def test_critical_fixed_point_regression(ref_critical):
 
 @pytest.mark.slow
 def test_duhamel_residual(ref_subcritical):
-    eng = _get_engine(ref_subcritical, 1.0, X, QuadratureConfig())
+    eng = get_planar_engine(ref_subcritical, 1.0, X, QuadratureConfig())
     res = duhamel_residual(1.0, X, Y, eng, ref_subcritical)
     assert res < 1e-3
 
@@ -101,6 +101,17 @@ def test_duhamel_residual_arguments(ref_free):
     assert duhamel_residual(1.0, X, Y, eng, ref_free) == 0.0
 
 
+def test_unconverged_fixed_point(ref_critical, unconverged_engines):
+    # the residual refuses an iterate that has not converged, and value_at
+    # answers with a 5 times larger error
+    eng = PlanarKernelEngine(ref_critical, 1.0, X, unconverged_engines)
+    with pytest.raises(DivergenceError, match="not converged"):
+        duhamel_residual(1.0, X, Y, eng, ref_critical)
+    val = eng.value_at(Y)
+    assert not eng.correction().converged
+    assert val.abs_error == pytest.approx(5.0 * 2e-2 * val.value, rel=1e-12)
+
+
 def test_engine_symmetry(ref_subcritical):
     # p(t, x, y) = p(t, y, x): two engines centered at either point agree
     cfg = QuadratureConfig()
@@ -118,17 +129,30 @@ def test_grid_read_across_the_axis(ref_subcritical):
     # points a hair either side of the engine's axis read the same column;
     # just below it the angle reduces to 2 pi and must not extrapolate
     eng = PlanarKernelEngine(ref_subcritical, 1.0, (1.0, 0.0))
-    U = eng._p0[-1]
+    U = eng.slice_of(eng.term(0)[-1], True)
     pts = np.array([(0.5, -1e-17), (0.5, 0.0), (0.5, 1e-17)])
-    vals = eng._value_from_grid(U, pts)
+    vals = U.read(pts)
     assert vals == pytest.approx(np.full(3, vals[1]), rel=1e-12)
     # the free kernel at distance 0.5 from y, up to interpolation error
     assert vals[1] == pytest.approx(float(kernel_t(1.0, 0.5, 2, 1.0)), rel=2e-2)
     # an array of points reads as the point-at-a-time reference does
     rng = np.random.default_rng(5)
     more = np.concatenate([rng.uniform(-3.0, 3.0, (200, 2)), pts])
-    ref = [_read_one(eng, U, x) for x in more]
-    assert eng._value_from_grid(U, more) == pytest.approx(ref, rel=1e-13)
+    ref = [_read_one(eng, U.values, x) for x in more]
+    assert U.read(more) == pytest.approx(ref, rel=1e-13)
+
+
+def test_slice_integrates_a_power_law(ref_subcritical):
+    # values |z|^{-a} against the weight |z|^{-(q - a)}: the grid sum and the
+    # disc inside r_min, continued as |z|^{-q}, give the integral over
+    # |z| < r_max exactly; at q = 1.9 the disc is 28 % of it
+    eng = PlanarKernelEngine(ref_subcritical, 1.0, X,
+                             QuadratureConfig(time_subdivisions=4, n_angular=8))
+    r = np.broadcast_to(eng.r_grid[:, None], (len(eng.r_grid), eng.n_theta))
+    for q in (0.5, 1.0, 1.9):
+        U = eng.slice_of(r ** (-0.5 * q), True)
+        exact = 2.0 * math.pi * eng.r_max ** (2.0 - q) / (2.0 - q)
+        assert U.integrate(r ** (-0.5 * q), q) == pytest.approx(exact, rel=1e-11)
 
 
 @pytest.mark.parametrize("alpha, n_angular", [(1.0, 8), (1.0, 9), (1.5, 8)])
@@ -187,16 +211,16 @@ def _read_one(eng, U, x):
 def test_engine_cache_keys(ref_subcritical, monkeypatch):
     monkeypatch.setattr(duhamel, "_ENGINE_CACHE", {})
     cfg = QuadratureConfig()
-    eng = _get_engine(ref_subcritical, 1.0, X, cfg)
-    assert _get_engine(ref_subcritical, 1.0, X, QuadratureConfig()) is eng
-    assert _get_engine(ref_subcritical, 1.0, X, replace(cfg, n_angular=16)) is not eng
+    eng = get_planar_engine(ref_subcritical, 1.0, X, cfg)
+    assert get_planar_engine(ref_subcritical, 1.0, X, QuadratureConfig()) is eng
+    assert get_planar_engine(ref_subcritical, 1.0, X, replace(cfg, n_angular=16)) is not eng
     # above kappa* delta is NaN, so equal couplings give unequal params;
     # the cache must still share one engine between them
     ks = kappa_star(2, 1.0)
     a = ModelParams.from_kappa(2, 1.0, 1.05 * ks)
     b = ModelParams.from_kappa(2, 1.0, 1.05 * ks)
     assert a != b
-    assert _get_engine(a, 1.0, X, cfg) is _get_engine(b, 1.0, X, cfg)
+    assert get_planar_engine(a, 1.0, X, cfg) is get_planar_engine(b, 1.0, X, cfg)
     with pytest.raises(FrozenInstanceError):
         cfg.n_angular = 16
 
@@ -211,7 +235,7 @@ cfg = QuadratureConfig(radial_per_decade=2, sigma_per_decade=1.0)
 planar = QuadratureConfig(time_subdivisions=4, radial_per_decade=1, n_angular=8)
 for alpha in (1.0, 1.5):
     p = ModelParams.from_kappa(2, alpha, 0.5 * kappa_star(2, alpha))
-    op = RadialWeightedEngine(p, p.delta, cfg)._operator
+    op = RadialWeightedEngine(p, p.delta, cfg).operator
     eng = PlanarKernelEngine(p, 1.0, (1.0, 0.0), planar)
     for a in (op, eng.first_term(), eng.fixed_point()[0]):
         print(hashlib.sha256(a.tobytes()).hexdigest())
@@ -247,7 +271,7 @@ def _builds(p):
     radial = QuadratureConfig(radial_per_decade=1, sigma_per_decade=1.0)
     planar = QuadratureConfig(time_subdivisions=4, radial_per_decade=1, n_angular=8)
     eng = PlanarKernelEngine(p, 1.0, X, planar)
-    return (duhamel.RadialWeightedEngine(p, p.delta, radial)._operator,
+    return (duhamel.RadialWeightedEngine(p, p.delta, radial).operator,
             eng.first_term(), *eng.fixed_point())
 
 

@@ -68,6 +68,19 @@ def test_layering():
     assert click_users == {"cli"}
 
 
+def test_verifier_reads_no_engine_internals():
+    """verifier imports no private name of duhamel and reads no _-prefixed
+    attribute of any object: the planar grid's format stays behind
+    duhamel.KernelSlice."""
+    private = []
+    for node in ast.walk(ast.parse((PKG / "verifier.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("duhamel"):
+            private += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            private.append(node.attr)
+    assert private == []
+
+
 def test_every_parameter_is_read():
     """Every parameter of every function in the package is read by the
     function's body (self and cls aside)."""

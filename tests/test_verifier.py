@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from hardyheat.duhamel import RadialWeightedEngine
-from hardyheat.errors import DomainError
+from hardyheat.duhamel import RadialWeightedEngine, get_planar_engine
+from hardyheat.errors import DivergenceError, DomainError
 from hardyheat.params import ModelParams, kappa_star
 from hardyheat.verifier import (
     H_weight,
     blowup_probe,
+    bounds_scan,
     check_H_supermedian,
     check_chapman_kolmogorov,
     check_invariance,
@@ -44,6 +45,34 @@ def test_chapman_kolmogorov_coupled(ref_subcritical):
                                    ref_subcritical)
     assert res.status == "pass"
     assert res.defect < 1e-2
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, reason=(
+    "at kappa* on the default grid the defect is 3.21e-2 against 1e-2 "
+    "(lhs 0.042843, rhs 0.041510); it is 7.67e-3 at kappa*/2 and 5.26e-4 on "
+    "refined(1.25). The stop rule is not the cause: with rel_tol 1e-5 the "
+    "defect is still 3.211e-2. The t = 0.5 correction V(0.5, x, y) moves by "
+    "12 % between the default grid and refined(1.25) (3.913e-3 -> "
+    "3.454e-3), the rhs by 0.3 %."))
+def test_chapman_kolmogorov_at_critical_coupling(ref_critical):
+    res = check_chapman_kolmogorov(0.5, 0.5, (1.0, 0.0), (0.0, 1.0),
+                                   ref_critical)
+    assert res.status == "pass"
+    assert res.defect < 1e-2
+
+
+def test_unconverged_fixed_point_fails_closed(ref_critical, unconverged_engines):
+    # every check that reads the planar fixed point refuses an iterate that
+    # has not converged, rather than report a defect computed from it
+    eng = get_planar_engine(ref_critical, 1.0, (1.0, 0.0), unconverged_engines)
+    assert not eng.slice().converged
+    with pytest.raises(DivergenceError):
+        check_chapman_kolmogorov(0.5, 0.5, (1.0, 0.0), (0.0, 1.0), ref_critical)
+    with pytest.raises(DivergenceError):
+        bounds_scan(ref_critical)
+    with pytest.raises(DivergenceError):
+        continuity_scan(ref_critical)
 
 
 def test_supermedian_equality(ref_subcritical):
