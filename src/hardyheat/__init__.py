@@ -6,12 +6,9 @@ for the invariance identities, the two-sided comparability estimate, the
 Hardy inequality, and the blow-up trichotomy of the coupling.
 """
 
-import os
+from .pool import cap_blas_threads
 
-# HARDYHEAT_THREADS caps the BLAS/OpenMP threads; the libraries read their
-# thread count once, when numpy loads, so this runs before any numpy import
-if os.environ.get("HARDYHEAT_THREADS"):
-    os.environ.setdefault("OMP_NUM_THREADS", os.environ["HARDYHEAT_THREADS"])
+cap_blas_threads()   # before any numpy import
 
 from .errors import (
     DivergenceError,

@@ -27,10 +27,7 @@ which stays accurate when the kernel peak is narrower than the grid spacing.
 
 from __future__ import annotations
 
-import os
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import log, pi
 
@@ -38,6 +35,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .params import ModelParams, Regime, kappa_of_beta
+from .pool import ordered_map, workers
 from .quadrature import log_panel_nodes, refined_unit_nodes
 from .stable_kernel import (
     KernelValue,
@@ -57,7 +55,6 @@ _SIGMA_PER_PANEL = 6      # Gauss points per time panel of the radial engine
 _SIGMA_EDGE = 1e-8        # its relative refinement depth at the time endpoints
 _RADIAL_R_MAX = 1e3       # outer radius of the radial engine's grid
 _PLANAR_R_MIN, _PLANAR_R_MAX = 1e-3, 3e2   # radial extent of the planar grid
-_MAX_WORKERS = 4          # threads of one radial build or planar sweep, at most
 # OpenBLAS runs an (m, k) @ (k, n) product on the calling thread when
 # m * k * n <= 1e6, and on its own threads above that.  Split into column
 # blocks whose widths are multiples of 8, a product keeps the bits of one
@@ -161,21 +158,6 @@ def _log_interp_matrix(r_grid: np.ndarray, targets: np.ndarray, gamma: float) ->
     return mat
 
 
-def _workers() -> int:
-    """Threads of the package's worker pool, which assembles a radial
-    operator over its time nodes and runs a planar time integral over the
-    grid times tau: HARDYHEAT_THREADS when set, otherwise the CPUs this
-    process may run on; never more than those CPUs (more threads contend
-    for the GIL: 4 on 2 CPUs ran slower than 1), nor more than _MAX_WORKERS."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    env = os.environ.get("HARDYHEAT_THREADS", "").strip()
-    n = int(env) if env.isdigit() else cpus
-    return max(1, min(n, cpus, _MAX_WORKERS))
-
-
 def _matmul_one_thread(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a @ b into out, in column blocks that OpenBLAS computes on the calling
     thread, so that the worker pool is the only parallelism whether or not
@@ -187,26 +169,6 @@ def _matmul_one_thread(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndar
     for lo in range(0, b.shape[1], step):
         np.matmul(a, b[:, lo:lo + step], out=out[:, lo:lo + step])
     return out
-
-
-def _ordered_map(fn, n: int, workers: int):
-    """fn(0), ..., fn(n - 1), yielded in this order.
-
-    With more than one worker they are computed on a thread pool that lives
-    as long as the iteration; at most 2 * workers results are pending at a
-    time.  With one worker they are computed inline, and no thread starts.
-    """
-    if workers <= 1:
-        yield from map(fn, range(n))
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque()
-        for k in range(n):
-            pending.append(pool.submit(fn, k))
-            if len(pending) >= 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
 
 
 class _AngularMeans:
@@ -286,7 +248,7 @@ class RadialWeightedEngine:
         area = sphere_area(d)
         a_levy = levy_constant(d, alpha)
         a_in, w_in = log_panel_nodes(1e-4 * self.cfg.eps0, self.cfg.eps0, 8, 2)
-        workers = _workers()
+        n_workers = workers()
         means = _AngularMeans(r, a_in, d, alpha)
         # the first call caches p_1's interpolant: make it before the workers
         unit_density_grid(0.0, d, alpha)
@@ -331,7 +293,7 @@ class RadialWeightedEngine:
             return term, (kappa * ws) * ring_in, (kappa * ws) * ring_out
 
         K = np.zeros((n, n))
-        for term, col_in, col_out in _ordered_map(node_term, len(self.s_nodes), workers):
+        for term, col_in, col_out in ordered_map(node_term, len(self.s_nodes), n_workers):
             K += term
             K[:, 0] += col_in
             K[:, -1] += col_out
@@ -655,8 +617,8 @@ class PlanarKernelEngine:
         summed as on one thread, so the result has the same bits for any
         number of workers."""
         kappa, tau = self.params.kappa, self.tau
-        return np.stack(list(_ordered_map(
-            lambda k: _duhamel_sum(kappa, tau[k], node, rule), len(tau), _workers())))
+        return np.stack(list(ordered_map(
+            lambda k: _duhamel_sum(kappa, tau[k], node, rule), len(tau), workers())))
 
     def apply_duhamel(self, V: np.ndarray) -> np.ndarray:
         """One application of the perturbation operator to V(tau, r, theta)."""

@@ -282,7 +282,7 @@ def test_results_under_thread_switching(monkeypatch):
     p = ModelParams.from_kappa(2, 1.5, 0.5 * kappa_star(2, 1.5))
     monkeypatch.setenv("HARDYHEAT_THREADS", "1")
     ref = _builds(p)
-    monkeypatch.setattr(duhamel, "_workers", lambda: 4)
+    monkeypatch.setattr(duhamel, "workers", lambda: 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

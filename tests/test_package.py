@@ -172,6 +172,22 @@ def test_every_lru_cache_is_bounded():
     assert unbounded == []
 
 
+def test_worker_count_is_read_in_one_place():
+    """Only pool names HARDYHEAT_THREADS or reads the environment; the
+    modules that use threads take their count and threads from it."""
+    readers = set()
+    for path in PKG.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Constant) and node.value == "HARDYHEAT_THREADS") \
+                    or (isinstance(node, ast.Attribute)
+                        and node.attr in ("environ", "getenv", "environb")):
+                readers.add(path.stem)
+    assert readers == {"pool"}
+    from hardyheat import duhamel, mc_oracle, pool
+    assert duhamel.workers is pool.workers
+    assert mc_oracle.overlap_thread is pool.overlap_thread
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="reads the thread count from /proc/self/status")
 def test_hardyheat_threads_caps_blas_threads():
