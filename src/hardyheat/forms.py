@@ -390,15 +390,9 @@ def _radial_l2_grid(f: TestFunction):
 
 
 def weighted_l2(f: TestFunction, gamma: float, d: int = 2) -> float:
-    """int f(x)^2 |x|^{-gamma} dx (polar around the origin).  Memoized on
-    (f, gamma, d) in a process."""
+    """int f(x)^2 |x|^{-gamma} dx (polar around the origin)."""
     if not (gamma < d):
         raise DomainError(f"the weight exponent must be below d, got {gamma}")
-    return _weighted_l2(f, float(gamma), int(d))
-
-
-@lru_cache(maxsize=128)
-def _weighted_l2(f: TestFunction, gamma: float, d: int) -> float:
     r, w, n_th = _radial_l2_grid(f)
     if f.is_radial:
         g = f.radial_profile(r)

@@ -15,7 +15,6 @@ only integrals against test weights are, which is what the oracle role needs.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from math import exp, log
 
@@ -23,12 +22,10 @@ import numpy as np
 
 from .errors import DomainError, ReliabilityError
 from .params import ModelParams, Regime, kappa_of_beta
-from .pool import overlap_thread
 
 _MAX_SUBSTEP_LEVELS = 12
 _SUBSTEP_RADIUS = 0.1      # steps are halved for paths inside this radius
 _WEIGHT_CAP = exp(20.0)    # weights exp(kappa A) above it are truncated
-_OVERLAP_PATHS = 4096      # steps this large may transform on a pool thread
 
 
 @dataclass(frozen=True)
@@ -113,21 +110,11 @@ def subordinator_increments(rng: np.random.Generator, n: int, h: float,
 
 class _Workspace:
     """Arrays for the n paths of one run in d dimensions.  Every step and
-    sub-step uses their leading entries, so a run allocates them once.  With
-    a pool thread (``overlap``), a step of at least _OVERLAP_PATHS paths
-    computes Kanter's transform on it while the calling thread draws Z."""
+    sub-step uses their leading entries, so a run allocates them once."""
 
-    def __init__(self, n: int, d: int, overlap):
+    def __init__(self, n: int, d: int):
         self.u, self.e, self.tmp, self.scale, self.power = (np.empty(n) for _ in range(5))
         self.z, self.dx = np.empty(n * d), np.empty(n * d)
-        self.overlap = overlap
-
-
-def _gaussian_scale(u, e, h: float, a: float, tmp, out) -> np.ndarray:
-    """sqrt(2 S) into out, S the subordinator increment of (u, e)."""
-    s = _kanter(u, e, h, a, tmp, out)
-    s *= 2.0
-    return np.sqrt(s, out=s)
 
 
 def stable_increments(rng: np.random.Generator, n: int, d: int, h: float,
@@ -142,20 +129,17 @@ def stable_increments(rng: np.random.Generator, n: int, d: int, h: float,
     a = alpha / 2.0
     _check_index(a)
     if work is None:
-        work = _Workspace(n, d, None)
+        work = _Workspace(n, d)
     u, e, tmp, scale = work.u[:n], work.e[:n], work.tmp[:n], work.scale[:n]
     z = work.z[:n * d].reshape(n, d)
     rng.random(out=u)
     u *= np.pi                      # the bits of rng.uniform(0, pi)
     rng.standard_exponential(out=e)
-    if work.overlap is not None and n >= _OVERLAP_PATHS:
-        job = work.overlap.submit(_gaussian_scale, u, e, h, a, tmp, scale)
-        rng.standard_normal(out=z)
-        job.result()
-    else:
-        _gaussian_scale(u, e, h, a, tmp, scale)
-        rng.standard_normal(out=z)
-    z *= scale[:, None]
+    s = _kanter(u, e, h, a, tmp, scale)
+    s *= 2.0
+    np.sqrt(s, out=s)               # sqrt(2 S)
+    rng.standard_normal(out=z)
+    z *= s[:, None]
     return z
 
 
@@ -256,19 +240,18 @@ def _run_paths(x, t: float, params: ModelParams, cfg: McConfig,
         prev = np.full(n, float(np.linalg.norm(x0)) ** -g)
         cur = np.empty(n)
         ti = np.zeros(n)
-    with overlap_thread() if n >= _OVERLAP_PATHS else nullcontext() as pool:
-        work = _Workspace(n, d, pool)
-        for _ in range(cfg.n_steps):
-            _advance(rng, work, X, r, ra, h, 0, alpha, inc)
-            A += inc
-            if ti is not None:
-                np.multiply(A, params.kappa, out=cur)
-                np.exp(np.minimum(cur, log_cap, out=cur), out=cur)
-                cur *= np.power(r, -g, out=inc)   # inc is spent once in A
-                prev += cur                 # ti += h/2 (prev + cur)
-                prev *= 0.5 * h
-                ti += prev
-                prev, cur = cur, prev
+    work = _Workspace(n, d)
+    for _ in range(cfg.n_steps):
+        _advance(rng, work, X, r, ra, h, 0, alpha, inc)
+        A += inc
+        if ti is not None:
+            np.multiply(A, params.kappa, out=cur)
+            np.exp(np.minimum(cur, log_cap, out=cur), out=cur)
+            cur *= np.power(r, -g, out=inc)   # inc is spent once in A
+            prev += cur                 # ti += h/2 (prev + cur)
+            prev *= 0.5 * h
+            ti += prev
+            prev, cur = cur, prev
     return r, A, ti
 
 

@@ -1,6 +1,5 @@
-"""The package's worker pool: how many threads it may use, an ordered map
-over them, and one thread beside the caller's.  HARDYHEAT_THREADS is read
-here and nowhere else.
+"""The package's worker pool: how many threads it may use and an ordered
+map over them.  HARDYHEAT_THREADS is read here and nowhere else.
 
 This module imports no numpy, so that the package can cap the BLAS threads
 before numpy loads.
@@ -11,7 +10,6 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 
 _ENV = "HARDYHEAT_THREADS"
 _MAX_WORKERS = 4      # threads of one radial build or planar sweep, at most
@@ -27,11 +25,10 @@ def cap_blas_threads() -> None:
 
 def workers() -> int:
     """Threads of the package's worker pool, which assembles a radial
-    operator over its time nodes, runs a planar time integral over the grid
-    times tau and overlaps a Monte Carlo step's transform with its Gaussian
-    draw: HARDYHEAT_THREADS when set, otherwise the CPUs this process may run
-    on; never more than those CPUs (more threads contend for the GIL: 4 on 2
-    CPUs ran slower than 1), nor more than _MAX_WORKERS."""
+    operator over its time nodes and runs a planar time integral over the
+    grid times tau: HARDYHEAT_THREADS when set, otherwise the CPUs this
+    process may run on; never more than those CPUs (more threads contend
+    for the GIL: 4 on 2 CPUs ran slower than 1), nor more than _MAX_WORKERS."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -39,13 +36,6 @@ def workers() -> int:
     env = os.environ.get(_ENV, "").strip()
     n = int(env) if env.isdigit() else cpus
     return max(1, min(n, cpus, _MAX_WORKERS))
-
-
-def overlap_thread():
-    """A context whose value is one pool thread, for work that runs beside
-    the calling thread's, or None when one worker is allowed; then no thread
-    starts."""
-    return ThreadPoolExecutor(1) if workers() > 1 else nullcontext()
 
 
 def ordered_map(fn, n: int, workers: int):

@@ -79,15 +79,6 @@ def test_weighted_l2_gaussian():
     assert weighted_l2(GAUSS, 1.0) == pytest.approx(np.pi ** 1.5, rel=5e-7)
 
 
-def test_weighted_l2_is_memoized_with_the_same_float():
-    forms._weighted_l2.cache_clear()
-    first = weighted_l2(BUMP, 1.0, 2)
-    assert weighted_l2(BUMP, 1, np.int64(2)) == first
-    assert weighted_l2(BUMP, np.float64(1.0)) == first
-    assert forms._weighted_l2.cache_info().hits == 2
-    assert first == forms._weighted_l2.__wrapped__(BUMP, 1.0, 2)
-
-
 def test_h_weight_constant_matches_coupling_curve():
     # the cross-term constant of the ground-state transform equals the
     # negated coupling constant of the weight exponent

@@ -1,12 +1,8 @@
 """Monte Carlo oracle: sampler laws, determinism, error scaling."""
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
-from hardyheat import mc_oracle, pool
 from hardyheat.errors import DomainError
 from hardyheat.mc_oracle import (
     McConfig,
@@ -116,11 +112,11 @@ def test_seeded_estimates_are_pinned():
         ess=528.9010101137881, capped_fraction=0.0)
 
 
-# Taken before the step kept its radii and buffers and overlapped its draws:
-# 2e4 paths x 20 steps from x = (0.05, 0), seed 7, beta = delta for
-# feynman_kac and delta / 4 for fk_invariance_defect.  alpha = 1.5 takes the
-# branch of Kanter's transform with two different sine factors.
-POOL_PINS = {
+# Taken before the step kept its radii and buffers: 2e4 paths x 20 steps
+# from x = (0.05, 0), seed 7, beta = delta for feynman_kac and delta / 4 for
+# fk_invariance_defect.  alpha = 1.5 takes the branch of Kanter's transform
+# with two different sine factors.
+SCALE_PINS = {
     1.0: (McEstimate(mean=1.4217798715640402, std_error=0.005020865247112711,
                      ess=16007.652494972399, capped_fraction=0.0),
           McEstimate(mean=-0.042174179576568875, std_error=0.0447831004654392,
@@ -132,44 +128,13 @@ POOL_PINS = {
 }
 
 
-def _pinned_pair(alpha):
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_seeded_estimates_are_pinned_at_scale(alpha):
     p = ModelParams.from_kappa(2, alpha, 0.1 if alpha == 1.0 else 0.5 * kappa_star(2, alpha))
     cfg = McConfig(n_paths=20_000, n_steps=20, seed=7)
-    return (feynman_kac((0.05, 0.0), 1.0, p.delta, p, cfg),
-            fk_invariance_defect((0.05, 0.0), 1.0, 0.25 * p.delta, p, cfg))
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("alpha", [1.0, 1.5])
-def test_seeded_estimates_are_pinned_where_the_pool_runs(alpha, threads, monkeypatch):
-    # 2e4 paths: with two workers each full step's transform runs on a pool
-    # thread while the calling thread draws Z; with one no thread starts
-    monkeypatch.setenv("HARDYHEAT_THREADS", threads)
-    used = []
-    real = mc_oracle.overlap_thread
-
-    def spy():
-        used.append(real())
-        return used[-1]
-
-    monkeypatch.setattr(mc_oracle, "overlap_thread", spy)
-    assert _pinned_pair(alpha) == POOL_PINS[alpha]
-    assert [isinstance(c, ThreadPoolExecutor) for c in used] == [pool.workers() > 1] * 2
-    if threads == "1":
-        assert pool.workers() == 1
-
-
-def test_pins_under_thread_switching(monkeypatch):
-    # a pool thread whatever the CPUs, and a short switch interval: a draw
-    # out of order or a buffer read before it is written would move the bits
-    monkeypatch.setattr(pool, "workers", lambda: 2)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = _pinned_pair(1.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == POOL_PINS[1.0]
+    assert (feynman_kac((0.05, 0.0), 1.0, p.delta, p, cfg),
+            fk_invariance_defect((0.05, 0.0), 1.0, 0.25 * p.delta, p, cfg)) \
+        == SCALE_PINS[alpha]
 
 
 @pytest.mark.parametrize("x", [(np.nan, 0.0), (1.0, np.inf), (-np.inf, 1.0),

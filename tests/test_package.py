@@ -174,7 +174,7 @@ def test_every_lru_cache_is_bounded():
 
 def test_worker_count_is_read_in_one_place():
     """Only pool names HARDYHEAT_THREADS or reads the environment; the
-    modules that use threads take their count and threads from it."""
+    module that uses threads takes its count from it."""
     readers = set()
     for path in PKG.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -183,9 +183,8 @@ def test_worker_count_is_read_in_one_place():
                         and node.attr in ("environ", "getenv", "environb")):
                 readers.add(path.stem)
     assert readers == {"pool"}
-    from hardyheat import duhamel, mc_oracle, pool
+    from hardyheat import duhamel, pool
     assert duhamel.workers is pool.workers
-    assert mc_oracle.overlap_thread is pool.overlap_thread
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
