@@ -89,6 +89,9 @@ class QuadratureConfig:
 
     def refined(self, factor: float = 1.5) -> "QuadratureConfig":
         """A copy with the grid densities scaled up, for drift studies."""
+        if not 0.0 < factor < np.inf:
+            raise DomainError(f"the refinement factor must be positive and finite, "
+                              f"got {factor}")
         return replace(
             self,
             time_subdivisions=int(round(self.time_subdivisions * factor)),
@@ -121,17 +124,20 @@ def _as_point(x) -> np.ndarray:
 
 
 def _resolution_blend(r, s: float, alpha: float, target, mass):
-    """(lam, scale) of the peak-resolution blend around radius r at time s.
+    """(scale, offset) of the peak-resolution blend around radius r at time
+    s: int p g is taken as scale * (discrete sum of p g) + offset * g(r).
 
     The kernel peak (width s^{1/alpha}) is unresolved by the local grid
     spacing when lam -> 1; there the singularity-subtracted form
     g(r) + int p (g - g(r)) is used.  In the resolved regime (lam -> 0) the
     discrete kernel mass is rescaled toward its exact value target, with the
-    factor clipped to [0.5, 2].
+    factor clipped to [0.5, 2].  The offset lam (1 - scale mass) puts back
+    the mass that the scaled sum misses.
     """
     lam = np.clip(np.log((0.5 * r) ** alpha / s) / log(16.0), 0.0, 1.0)
     factor = np.clip(target / np.maximum(mass, 1e-300), 0.5, 2.0)
-    return lam, 1.0 + (1.0 - lam) * (factor - 1.0)
+    scale = 1.0 + (1.0 - lam) * (factor - 1.0)
+    return scale, lam * (1.0 - scale * mass)
 
 
 def _log_interp_matrix(r_grid: np.ndarray, targets: np.ndarray, gamma: float) -> np.ndarray:
@@ -270,12 +276,11 @@ class RadialWeightedEngine:
             # masses outside the grid), removing the leading quadrature error
             mass_in = area * (th_in @ (w_in * a_in ** (d - 1)))
             mass_out = area * s * a_levy * _RADIAL_R_MAX ** (-alpha) / alpha
-            lam, scale = _resolution_blend(r, s, alpha, 1.0 - mass_in - mass_out, mass)
+            scale, offset = _resolution_blend(r, s, alpha, 1.0 - mass_in - mass_out, mass)
             # in place: each worker holds few n x n temporaries at a time
             theta *= scale[:, None]
-            mass = mass * scale
             term = _matmul_one_thread(theta, DR, np.empty((n, n)))
-            term += (lam * (1.0 - mass))[:, None] * DR
+            term += offset[:, None] * DR
             term *= kappa * ws
             # ring corrections outside the grid: below eps0 the integrand is
             # continued as the power law phi(x) ~ phi(r_0) (x/r_0)^{-slope}
@@ -534,20 +539,20 @@ class PlanarKernelEngine:
         return np.fft.irfft(I.T, n=self.n_theta, axis=-1)
 
     def _coefficients(self, s: float, khat: np.ndarray):
-        """(scale, lam (1 - scale mass), p_s on r_grid) of the resolution
-        blend at time s, khat being _kernel_fft(s).  They depend on s alone,
-        so they are computed on the first call and read from the table by
-        every later sweep."""
+        """(scale, offset, p_s on r_grid) of the resolution blend at time s,
+        khat being _kernel_fft(s).  They depend on s alone, so they are
+        computed on the first call and read from the table by every later
+        sweep."""
         with self._coef_lock:
             coef = self._coef.get(s)
         if coef is None:
             alpha = self.params.alpha
             p_s = kernel_t(s, self.r_grid, 2, alpha)
             mass = khat[0] @ self.cell_w[:, 0]   # frequency 0 sums the angles
-            lam, scale = _resolution_blend(self.r_grid, s, alpha,
-                                           1.0 - pi * self.r_min ** 2 * p_s, mass)
+            scale, offset = _resolution_blend(self.r_grid, s, alpha,
+                                              1.0 - pi * self.r_min ** 2 * p_s, mass)
             with self._coef_lock:
-                coef = self._coef.setdefault(s, (scale, lam * (1.0 - scale * mass), p_s))
+                coef = self._coef.setdefault(s, (scale, offset, p_s))
         return coef
 
     def _convolve(self, s: float, G: np.ndarray, q: float) -> np.ndarray:
@@ -557,9 +562,9 @@ class PlanarKernelEngine:
         power law a^{-q} carried by the first radial circle.
         """
         khat = self._kernel_fft(s)
-        scale, blend, p_s = self._coefficients(s, khat)
+        scale, offset, p_s = self._coefficients(s, khat)
         out = scale[:, None] * self._apply(khat, G)
-        out += blend[:, None] * G
+        out += offset[:, None] * G
         # inner disc, with the kernel frozen at its value at distance |z|
         ring = self.w_theta * float(np.sum(G[0]))
         out += (p_s * _ring_in(self.r_min, self.r_grid[0], ring, q))[:, None]
@@ -585,10 +590,10 @@ class PlanarKernelEngine:
         # free factor peaked at y: subtract around y
         py = self._free_at_y(sp)
         massY = float(np.sum(self.cell_w * py))
-        lamY, scaleY = _resolution_blend(ry, sp, alpha, 1.0, massY)
+        scaleY, offsetY = _resolution_blend(ry, sp, alpha, 1.0, massY)
         I = self._apply(self._kernel_fft(s), scaleY * py * rinv)
         fy = kernel_t(s, self.dist_y, 2, alpha) * ry ** (-alpha)
-        I += lamY * (1.0 - scaleY * massY) * fy
+        I += offsetY * fy
         # inner disc of the w-integral (|w|^{-alpha} singular ring), with
         # p(sp, w, y) frozen at p(sp, |y|)
         ring = 2.0 * pi * self.r_grid[0] ** (-alpha) * kernel_t(sp, ry, 2, alpha)
@@ -839,10 +844,10 @@ def duhamel_residual(t: float, x, y, p_tilde_eval, params: ModelParams) -> float
         P = kernel_t(sp, dz_y, 2, alpha)
         mass = float(np.sum(eng.cell_w * P))
         # resolution blend around the kernel peak at z = y
-        lam_y, scale = _resolution_blend(ry, sp, alpha, 1.0, mass)
+        scale, offset = _resolution_blend(ry, sp, alpha, 1.0, mass)
         g_y = float(Vs.read(y)) * max(ry, 1e-300) ** (-alpha)
         I = float(np.sum(eng.cell_w * P * G)) * scale
-        I += lam_y * (1.0 - scale * mass) * g_y
+        I += offset * g_y
         # inner disc: continue V |z|^{-alpha} inward as a power law, kernel
         # frozen at distance |y|
         ring = eng.w_theta * float(np.sum(G[0]))

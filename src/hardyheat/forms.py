@@ -1,4 +1,4 @@
-"""Quadratic-form layer: the fractional Laplacian on test functions, the
+"""Quadratic-form layer on a fixed corpus of test functions: the
 Dirichlet form E[f], the conditioned form built from the singular profile
 h(x) = |x|^{-delta}, the Hardy inequality, and the form identity
 conditioned_form = E[f] - int f^2 q with q = kappa |x|^{-alpha}.
@@ -28,7 +28,6 @@ from .quadrature import composite_nodes, log_panel_nodes, panel_nodes
 from .results import CheckResult, make_result
 from .stable_kernel import levy_constant, sphere_area
 
-_PV_INNER_RADIUS = 1e-3   # ring that frac_laplacian replaces by its Taylor term
 _FFT_POINTS = 1024        # points per axis of the autocorrelation's FFT grid
 _HANKEL_ROWS = 32         # frequencies per block of the Hankel product (7.5 MB
                           # at 29k radii); a multiple of 4 keeps BLAS's dot
@@ -167,65 +166,7 @@ class FormValue:
 
 
 # ---------------------------------------------------------------------------
-# Fractional Laplacian on test functions
-
-
-def frac_laplacian(phi: TestFunction, x, params: ModelParams) -> float:
-    """Principal-value evaluation of the generator at a point (d = 2).
-
-    The ring |y| < r0 = _PV_INNER_RADIUS is replaced by the second-order
-    Taylor term (the gradient part vanishes by symmetry); beyond the
-    quadrature range the -phi(x) mass of the Levy tail is added in closed
-    form.
-    """
-    if params.d != 2:
-        raise DomainError("pointwise generator quadrature supports d = 2 only")
-    d, alpha = params.d, params.alpha
-    x = np.asarray(x, dtype=float)
-    A = levy_constant(d, alpha)
-    fx = float(phi(x))
-    r0 = _PV_INNER_RADIUS
-    # Laplacian trace by central differences for the inner Taylor ring
-    h = 0.25 * r0
-    tr = sum(
-        float(phi(x + h * e) + phi(x - h * e) - 2.0 * fx) / h ** 2
-        for e in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    )
-    inner = A * 2.0 * pi * (tr / 4.0) * r0 ** (2.0 - alpha) / (2.0 - alpha)
-    r_hi = 1e3
-    r, w = log_panel_nodes(r0, r_hi, n_per_panel=8, per_decade=4)
-    n_th = 64
-    th = 2.0 * pi * np.arange(n_th) / n_th
-    pts = x[None, None, :] + r[:, None, None] * np.stack(
-        [np.cos(th), np.sin(th)], axis=-1)[None, :, :]
-    ring = np.sum(phi(pts) - fx, axis=1) * (2.0 * pi / n_th)
-    outer = A * float(np.sum(w * r ** (-1.0 - alpha) * ring))
-    tail = -fx * A * 2.0 * pi * r_hi ** (-alpha) / alpha
-    return inner + outer + tail
-
-
-def frac_laplacian_fourier(phi: TestFunction, x, params: ModelParams) -> float:
-    """Fourier-route generator value for radial functions (d = 2 oracle).
-
-    Evaluates -(2 pi)^{-d} int |xi|^alpha phi_hat(xi) e^{i xi x} d xi via the
-    1-d Hankel representation.  The rho^{1+alpha} factor amplifies any
-    quadrature noise in the transform, so both grids are linear at high
-    frequency / radius with the Bessel oscillation explicitly resolved.
-    """
-    if not phi.is_radial or params.d != 2:
-        raise DomainError("the Fourier route needs a radial function in d = 2")
-    alpha = params.alpha
-    rx = float(np.hypot(*np.asarray(x, dtype=float)))
-    scale = phi.scale if phi.kind != "hardy_profile" else 0.5 / phi.scale
-    # the mollifier transform decays only stretched-exponentially, so the
-    # bump kinds need a far higher frequency cutoff than the Gaussian
-    rho_cut = 25.0 if phi.kind == "gaussian" else 300.0
-    rho_hi = rho_cut / min(scale, phi.support_radius)
-    rho, w = _oscillation_grid(1e-4 / phi.support_radius, rho_hi,
-                               max(rx, 1e-3))
-    ghat = _hankel_transform(phi, rho)
-    vals = rho ** (1.0 + alpha) * ghat * j0(rho * rx)
-    return -float(np.sum(w * vals)) / (2.0 * pi)
+# Dirichlet form
 
 
 def _oscillation_grid(lo: float, hi: float, freq: float):
@@ -261,10 +202,6 @@ def _hankel_transform(f: TestFunction, rho: np.ndarray) -> np.ndarray:
         block = slice(i, i + _HANKEL_ROWS)
         out[block] = j0(rho[block, None] * r[None, :]) @ v
     return 2.0 * pi * out
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet form
 
 
 def _direct_double_radial(E2: float, corr, scale: float, d: int, alpha: float,

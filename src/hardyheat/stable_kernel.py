@@ -305,21 +305,17 @@ def _unit_density_interpolant(d: int, alpha: float):
     return evaluate
 
 
-def unit_density_grid(r, d: int, alpha: float, exact: bool = False):
+def unit_density_grid(r, d: int, alpha: float):
     """Vectorized p_1 over an array of radii.
 
-    With exact=False and alpha != 1 a cached log-log interpolant is used:
-    relative accuracy about 1e-8 up to r = 1e4, and of order r^{-alpha} beyond,
-    where only the leading tail term is kept (see _unit_density_interpolant).
-    exact=True evaluates every point from scratch.
+    For alpha != 1 a cached log-log interpolant is used: relative accuracy
+    about 1e-8 up to r = 1e4, and of order r^{-alpha} beyond, where only the
+    leading tail term is kept (see _unit_density_interpolant).
+    unit_density evaluates one point from scratch.
     """
     r = np.abs(np.asarray(r, dtype=float))
     if is_cauchy(alpha):
         return cauchy_unit_density(r, d)
-    if exact:
-        flat = r.reshape(-1)
-        vals = np.array([unit_density(float(x), d, alpha)[0] for x in flat])
-        return vals.reshape(r.shape)
     return _unit_density_interpolant(d, alpha)(r)
 
 

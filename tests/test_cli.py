@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hardyheat import duhamel
+from hardyheat import duhamel, verifier
 from hardyheat.cli import main
 from hardyheat.params import kappa_star
 from hardyheat.stable_kernel import levy_constant
@@ -215,6 +215,19 @@ def test_bad_input_exits_2(runner, args):
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf"])
+def test_bounds_bad_refine_exits_2_before_any_engine(runner, monkeypatch, factor):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("a planar engine was built")
+
+    monkeypatch.setattr(verifier, "get_planar_engine", no_engine)
+    res = runner.invoke(main, ["bounds", "--kappa", "critical",
+                               "--refine", factor])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: ")
 
 
 # far out in the tail, where the unit-time density underflows

@@ -123,6 +123,9 @@ def test_engine_symmetry(ref_subcritical):
 def test_config_validation():
     with pytest.raises(DomainError):
         QuadratureConfig(eps0=0.0)
+    for factor in (float("nan"), float("inf"), 0.0, -1.25):
+        with pytest.raises(DomainError):
+            QuadratureConfig().refined(factor)
 
 
 def test_grid_read_across_the_axis(ref_subcritical):

@@ -12,8 +12,6 @@ from hardyheat.forms import (
     check_form_identity,
     check_hardy,
     energy,
-    frac_laplacian,
-    frac_laplacian_fourier,
     load_corpus,
     near_optimizer,
     near_optimizer_gaps,
@@ -52,26 +50,6 @@ def test_energy_translation_invariance(ref_free):
     shifted = TestFunction(kind="gaussian", center=(3.0, -1.0), scale=1.0)
     e = energy(shifted, ref_free, route="direct_double")
     assert e.value == pytest.approx(np.pi ** 1.5 / 2.0, rel=1e-9)
-
-
-def test_frac_laplacian_routes_agree(ref_free):
-    for f, tol in [(GAUSS, 1e-4), (BUMP, 1e-3)]:
-        for x in [(0.3, 0.0), (0.9, 0.4)]:
-            pv = frac_laplacian(f, x, ref_free)
-            fo = frac_laplacian_fourier(f, x, ref_free)
-            assert pv == pytest.approx(fo, rel=tol, abs=1e-8)
-
-
-def test_frac_laplacian_pairing_equals_energy(ref_free):
-    # the generator pairing -int f L f recovers the Dirichlet form E[f]
-    from hardyheat.quadrature import log_panel_nodes
-
-    xs, ws = log_panel_nodes(1e-4, 30.0, n_per_panel=10, per_decade=3)
-    vals = np.array([frac_laplacian(GAUSS, (r, 0.0), ref_free)
-                     for r in xs])
-    prof = GAUSS.radial_profile(xs)
-    pairing = -2.0 * np.pi * float(np.sum(ws * xs * prof * vals))
-    assert pairing == pytest.approx(np.pi ** 1.5 / 2.0, rel=1e-3)
 
 
 def test_weighted_l2_gaussian():

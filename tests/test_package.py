@@ -204,3 +204,33 @@ def test_hardyheat_threads_caps_blas_threads():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert int(out.stdout) == 1
+
+
+def test_traced_names_exist():
+    """Every (module, function) and (class, method) pair that the benchmark's
+    traced run wraps in perfbench/spans.py install() still exists, so that a
+    deleted or renamed name fails here and not only in the traced run."""
+    import importlib
+
+    spans = PKG.parents[1] / "perfbench" / "spans.py"
+    install = next(node for node in ast.parse(spans.read_text()).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    pairs = []
+    for node in ast.walk(install):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("wrap_function", "wrap_method")):
+            owner, attr = node.args[0], node.args[1].value
+            path = []
+            while isinstance(owner, ast.Attribute):
+                path.insert(0, owner.attr)
+                owner = owner.value
+            pairs.append((owner.id, path, attr))
+    assert len(pairs) >= 20
+    missing = []
+    for module, path, attr in pairs:
+        obj = importlib.import_module("hardyheat." + module)
+        for name in path:
+            obj = getattr(obj, name)
+        if not callable(getattr(obj, attr, None)):
+            missing.append(".".join([module, *path, attr]))
+    assert missing == []

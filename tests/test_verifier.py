@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hardyheat import verifier
 from hardyheat.duhamel import RadialWeightedEngine, get_planar_engine
 from hardyheat.errors import DivergenceError, DomainError
 from hardyheat.params import ModelParams, kappa_star
@@ -79,6 +80,24 @@ def test_supermedian_equality(ref_subcritical):
     res = check_supermedian(1.0, (1.0, 0.0), ref_subcritical)
     assert res.status == "pass"
     assert res.details["quadrature"] <= res.details["target"] * 1.02
+
+
+def _no_radial_engine(*args, **kwargs):
+    raise AssertionError("a radial engine was built")
+
+
+def test_supermedian_rejects_origin(ref_subcritical, monkeypatch):
+    # |x|^{-delta} is infinite at x = 0: refused before any engine is built
+    monkeypatch.setattr(verifier, "get_radial_engine", _no_radial_engine)
+    with pytest.raises(DomainError):
+        check_supermedian(1.0, (0.0, 0.0), ref_subcritical)
+
+
+def test_invariance_rejects_origin(ref_subcritical, monkeypatch):
+    monkeypatch.setattr(verifier, "get_radial_engine", _no_radial_engine)
+    with pytest.raises(DomainError):
+        check_invariance(0.25 * ref_subcritical.delta, 1.0, (0.0, 0.0),
+                         ref_subcritical)
 
 
 def test_supermedian_rejects_supercritical():
