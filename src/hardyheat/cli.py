@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import asdict, is_dataclass
 from enum import Enum
-from math import isfinite
+from math import inf, isfinite
 
 import click
 import numpy as np
@@ -44,30 +44,22 @@ MAX_CURVE_ROWS = 100_000
 # Serialization helpers
 
 
-def _clean(obj):
-    """Recursively convert to plain JSON types, rounding floats to 17
-    significant digits and writing enums as their values."""
+def _plain(obj):
+    """The JSON form of what json.dumps cannot write itself: a dataclass as
+    its dict, an enum as its value, a numpy array or scalar as its list or
+    number.  Floats are written in their shortest round-trip form."""
     if is_dataclass(obj) and not isinstance(obj, type):
-        obj = asdict(obj)
+        return asdict(obj)
     if isinstance(obj, Enum):
         return obj.value
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(f"{float(obj):.17g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
-def _json(payload) -> str:
-    doc = {"schema": 1}
-    doc.update(_clean(payload))
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _json(payload: dict) -> str:
+    return json.dumps({"schema": 1, **payload}, sort_keys=True, indent=2,
+                      default=_plain) + "\n"
 
 
 def _csv(header: list, rows) -> str:
@@ -126,8 +118,15 @@ def _coupling_options(fn):
     return fn
 
 
+def _check_budget(ctx, param, value):
+    if value is not None and not 0.0 <= value < inf:
+        raise click.BadParameter(f"must be finite and nonnegative, got {value}",
+                                 ctx, param)
+    return value
+
+
 _budget_option = click.option(
-    "--budget", type=float, default=None,
+    "--budget", type=float, default=None, callback=_check_budget,
     help="seconds after which the partial result is written with exit 3")
 
 
@@ -138,15 +137,15 @@ def main():
 
 
 def _command(body):
-    """Register body, which returns (text, exit code), as a subcommand with
-    the model options and --output.  The command writes the text to stdout
-    or --output and exits with the code.  Errors become exit codes here
-    only: 2 for a usage or domain error or an unwritable --output, 1 for any
-    other library error."""
+    """Register body, which returns (payload, exit code), as a subcommand
+    with the model options and --output.  The command writes the payload, a
+    str as it is and a dict as JSON, to stdout or --output and exits with the
+    code.  Errors become exit codes here only: 2 for a usage or domain error
+    or an unwritable --output, 1 for any other library error."""
     @functools.wraps(body)
     def run(output, **kwargs):
         try:
-            text, code = body(**kwargs)
+            payload, code = body(**kwargs)
         except (click.UsageError, DomainError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_USAGE)
@@ -155,7 +154,7 @@ def _command(body):
             sys.exit(EXIT_FAIL)
         try:
             with click.open_file(output or "-", "w") as fh:
-                fh.write(text)
+                fh.write(payload if isinstance(payload, str) else _json(payload))
         except OSError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_USAGE)
@@ -169,10 +168,10 @@ def _command(body):
 
 def _run_checks(payload: dict, checks, budget: float | None) -> tuple:
     """Collect the CheckResults that the iterator checks yields into
-    payload["results"] and render the payload with its overall status.
+    payload["results"] and return the payload with its overall status.
 
     The budget is checked before each check is pulled and once after the
-    last; once it is spent the partial payload is rendered with status
+    last; once it is spent the partial payload is returned with status
     "budget_exceeded" and exit code 3.
     """
     start = time.monotonic()
@@ -182,11 +181,11 @@ def _run_checks(payload: dict, checks, budget: float | None) -> tuple:
         if res is None:
             ok = all(r.status == "pass" for r in results)
             payload["status"] = "pass" if ok else "fail"
-            return _json(payload), EXIT_PASS if ok else EXIT_FAIL
+            return payload, EXIT_PASS if ok else EXIT_FAIL
         results.append(res)
     click.echo(f"budget: budget of {budget:g}s exceeded", err=True)
     payload["status"] = "budget_exceeded"
-    return _json(payload), EXIT_BUDGET
+    return payload, EXIT_BUDGET
 
 
 @_command
@@ -224,7 +223,7 @@ def kappa(d, alpha, beta, kappa, star, curve):
 def kernel(d, alpha, t, x, y):
     """Evaluate the free stable kernel p(t, x, y)."""
     z = np.subtract(_parse_point(x, d), _parse_point(y, d))
-    return _json(free_kernel(t, z, d, alpha)), EXIT_PASS
+    return asdict(free_kernel(t, z, d, alpha)), EXIT_PASS
 
 
 @_command
@@ -239,7 +238,7 @@ def series(d, alpha, kappa, delta, t, x, y, rel_tol, max_terms):
     params = _parse_kappa(d, alpha, kappa, delta)
     cfg = QuadratureConfig(rel_tol=rel_tol, max_terms=max_terms)
     state = tilde_p(t, _parse_point(x, d), _parse_point(y, d), params, cfg)
-    return _json({**asdict(state), "value": state.value}), EXIT_PASS
+    return {**asdict(state), "value": state.value}, EXIT_PASS
 
 
 @_command
@@ -256,7 +255,7 @@ def mc(d, alpha, kappa, delta, t, x, beta, paths, steps, seed):
     params = _parse_kappa(d, alpha, kappa, delta)
     cfg = McConfig(n_paths=paths, n_steps=steps, seed=seed)
     est = feynman_kac(_parse_point(x, d), t, beta, params, cfg)
-    return _json({**asdict(est), "seed": seed}), EXIT_PASS
+    return {**asdict(est), "seed": seed}, EXIT_PASS
 
 
 @_command
@@ -278,14 +277,14 @@ def verify(d, alpha, kappa, delta, suite, paths, seed, budget):
         ok = report.diverged if params.is_supercritical else report.converged
         payload.update(results=[], report=report,
                        status="pass" if ok else "fail")
-        return _json(payload), EXIT_PASS if ok else EXIT_FAIL
+        return payload, EXIT_PASS if ok else EXIT_FAIL
 
     def checks():
         if suite in ("invariance", "all"):
+            cfg = McConfig(n_paths=paths, seed=seed)
             beta = 0.25 * params.delta
             yield check_invariance(beta, 1.0, e1, params)
-            est = fk_invariance_defect(e1, 1.0, beta, params,
-                                       McConfig(n_paths=paths, seed=seed))
+            est = fk_invariance_defect(e1, 1.0, beta, params, cfg)
             yield make_result("invariance_mc", abs(est.mean),
                               3.0 * est.std_error, mean=est.mean,
                               std_error=est.std_error)
@@ -318,12 +317,12 @@ def bounds(d, alpha, kappa, delta, refine, fmt):
             for j, r in enumerate(report.radii):
                 for k, a in enumerate(report.angles):
                     rows.append((t, r, a, float(grid[j][k])))
-        text = _csv(["t", "radius", "angle", "ratio"], rows)
+        out = _csv(["t", "radius", "angle", "ratio"], rows)
     else:
-        text = _json({"bounds": report, "continuity": cont})
+        out = {"bounds": report, "continuity": cont}
     ok = (report.refinement_drift < 0.10
           and abs(report.slope - report.slope_target) <= 0.02)
-    return text, EXIT_PASS if ok else EXIT_FAIL
+    return out, EXIT_PASS if ok else EXIT_FAIL
 
 
 @_command

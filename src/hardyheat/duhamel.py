@@ -34,7 +34,7 @@ from math import log, pi
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .params import ModelParams, Regime, kappa_of_beta
+from .params import ModelParams, kappa_of_beta
 from .pool import ordered_map, workers
 from .quadrature import log_panel_nodes, refined_unit_nodes
 from .stable_kernel import (
@@ -718,10 +718,8 @@ def _cached(cache: dict, capacity: int, key, build):
     return cache[key]
 
 
-# Keys carry (d, alpha, kappa) rather than the ModelParams: above the
-# critical coupling delta is NaN, so equal params would compare unequal.
 _ENGINE_CACHE: dict = {}
-_ENGINE_CACHE_MAX = 6
+_ENGINE_CACHE_MAX = 9
 _RADIAL_CACHE: dict = {}
 _RADIAL_CACHE_MAX = 10
 
@@ -730,7 +728,7 @@ def get_planar_engine(params: ModelParams, t: float, y,
                       cfg: QuadratureConfig = QuadratureConfig()) -> PlanarKernelEngine:
     """Pointwise engine centered at y, cached across wrapper calls."""
     y = _as_point(y)
-    key = (params.d, params.alpha, params.kappa, float(t), float(y[0]), float(y[1]), cfg)
+    key = (params, float(t), float(y[0]), float(y[1]), cfg)
     return _cached(_ENGINE_CACHE, _ENGINE_CACHE_MAX, key,
                    lambda: PlanarKernelEngine(params, t, y, cfg))
 
@@ -738,7 +736,7 @@ def get_planar_engine(params: ModelParams, t: float, y,
 def get_radial_engine(params: ModelParams, beta: float,
                       cfg: QuadratureConfig = QuadratureConfig()) -> RadialWeightedEngine:
     """Weighted-mass engine for (params, beta), cached across calls."""
-    key = (params.d, params.alpha, params.kappa, float(beta), cfg)
+    key = (params, float(beta), cfg)
     return _cached(_RADIAL_CACHE, _RADIAL_CACHE_MAX, key,
                    lambda: RadialWeightedEngine(params, beta, cfg))
 
@@ -753,8 +751,7 @@ def tilde_p(t: float, x, y, params: ModelParams,
     reported tail_bound is the weighted-integral bound kappa^{N+1} /
     kappa_star^{N+2}-type tail at beta = (d - alpha)/2, infinite at critical.
     """
-    if params.regime is Regime.SUPERCRITICAL:
-        raise DomainError("tilde_p requires a subcritical or critical coupling")
+    params.require_finite_kernel("tilde_p")
     if not 0.0 < t < np.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     x, y = _as_point(x), _as_point(y)
@@ -790,8 +787,7 @@ def tilde_p_fixed_point(t: float, x, y_grid, params: ModelParams) -> list:
     One engine is centered at x; the kernel's symmetry turns each requested y
     into a grid read of the same converged iterate.
     """
-    if params.regime is Regime.SUPERCRITICAL:
-        raise DomainError("the fixed point requires a subcritical or critical coupling")
+    params.require_finite_kernel("the fixed point")
     x = _as_point(x)
     eng = get_planar_engine(params, t, x)
     return [eng.value_at(y) for y in y_grid]

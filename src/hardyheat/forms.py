@@ -191,9 +191,6 @@ def _fourier_grid(f: TestFunction):
 def _hankel_transform(f: TestFunction, rho: np.ndarray) -> np.ndarray:
     """2-d Fourier transform of a radial function at radial frequencies rho."""
     rho = np.asarray(rho, dtype=float)
-    if f.kind == "gaussian":
-        s = f.scale
-        return 2.0 * pi * s * s * np.exp(-0.5 * (rho * s) ** 2)
     R = f.support_radius
     r, w = _oscillation_grid(1e-7 * R, R, float(np.max(rho)))
     v = w * r * f.radial_profile(r)
@@ -403,8 +400,6 @@ def _h_weight_constant(delta: float, alpha: float, d: int) -> float:
     edges = np.array(edges)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
         x, w = panel_nodes(a, b, 12)
         total += float(np.sum(w * x ** (-1.0 - alpha) * G(x)))
     # analytic head: G ~ 2 pi (delta/2)^2 rho^2 below the grid

@@ -21,7 +21,7 @@ from math import exp, log
 import numpy as np
 
 from .errors import DomainError, ReliabilityError
-from .params import ModelParams, Regime, kappa_of_beta
+from .params import ModelParams, kappa_of_beta
 
 _MAX_SUBSTEP_LEVELS = 12
 _SUBSTEP_RADIUS = 0.1      # steps are halved for paths inside this radius
@@ -45,6 +45,8 @@ class McConfig:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
         if self.n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not 0 <= self.seed < 2 ** 63:
+            raise DomainError(f"seed must lie in [0, 2**63), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -317,8 +319,7 @@ def fk_invariance_defect(x, t: float, beta: float, params: ModelParams,
 
 
 def _check_fk_args(x, t: float, beta: float, params: ModelParams) -> None:
-    if params.regime is Regime.SUPERCRITICAL:
-        raise DomainError("Feynman-Kac weights diverge for supercritical couplings")
+    params.require_finite_kernel("Feynman-Kac")
     if not 0.0 < t < np.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     if not (0.0 <= beta < params.d - params.alpha):

@@ -7,7 +7,7 @@ the regime classification (subcritical / critical / supercritical).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import exp, isfinite
 
@@ -106,13 +106,16 @@ def classify(d: int, alpha: float, kappa: float) -> Regime:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Global parameter set: dimension, stability index, coupling and its exponent."""
+    """Global parameter set: dimension, stability index, coupling and its exponent.
+
+    Equality and hash are on (d, alpha, kappa): delta (NaN above kappa*) and
+    the regime follow from those three."""
 
     d: int
     alpha: float
     kappa: float
-    delta: float
-    regime: Regime
+    delta: float = field(compare=False)
+    regime: Regime = field(compare=False)
 
     def __post_init__(self):
         _check_alpha(self.d, self.alpha)
@@ -141,6 +144,11 @@ class ModelParams:
     @property
     def is_supercritical(self) -> bool:
         return self.regime is Regime.SUPERCRITICAL
+
+    def require_finite_kernel(self, what: str) -> None:
+        """DomainError above kappa*, where the perturbed kernel is infinite."""
+        if self.is_supercritical:
+            raise DomainError(f"{what} requires a subcritical or critical coupling")
 
 
 def kappa_curve(d: int, alpha: float, n_points: int) -> np.ndarray:

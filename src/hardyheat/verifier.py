@@ -34,6 +34,9 @@ _SCAN_RADII = np.geomspace(1e-3, 1e2, 11)
 _SCAN_ANGLES = np.asarray([0.0, pi / 2.0, pi])
 _SCAN_TIMES = (0.25, 1.0, 4.0)
 _PROBE_MAX_TERMS = 4000   # most series terms the blow-up probe sums
+# largest --refine: the planar lag table takes 145 MB at 4 and 2.24 GB at 10,
+# and each worker holds two buffers of its size
+_MAX_REFINE = 4.0
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,7 @@ def _free_convolution(s: float, t: float, x, y, d: int, alpha: float) -> float:
 def check_chapman_kolmogorov(s: float, t: float, x, y,
                              params: ModelParams) -> CheckResult:
     """Relative defect of int p~(s,x,z) p~(t,z,y) dz = p~(s+t,x,y)."""
-    if params.regime is Regime.SUPERCRITICAL:
-        raise DomainError("Chapman-Kolmogorov requires a finite kernel")
+    params.require_finite_kernel("Chapman-Kolmogorov")
     if params.d != 2:
         raise DomainError("Chapman-Kolmogorov is checked in d = 2 only")
     x = np.asarray(x, dtype=float)
@@ -184,8 +186,7 @@ def check_supermedian(t: float, x, params: ModelParams) -> CheckResult:
     """Equality int p~(t,x,y)|y|^{-delta} dy = |x|^{-delta}, by the
     weighted-mass engine.  Within its tolerance the equality also bounds the
     one-sided (supermedian) inequality."""
-    if params.regime is Regime.SUPERCRITICAL:
-        raise DomainError("supermedian checks require a finite kernel")
+    params.require_finite_kernel("the supermedian check")
     rx = radius(x)
     delta = params.delta
     target = _weight_at(rx, delta)
@@ -205,8 +206,7 @@ def check_H_supermedian(t: float, x, params: ModelParams,
     when the scan is finite and its minimum is at most the supermedian
     tolerance below 1, which two inconsistent engines can miss.
     """
-    if params.regime is Regime.SUPERCRITICAL:
-        raise DomainError("supermedian checks require a finite kernel")
+    params.require_finite_kernel("the H-supermedian check")
     alpha, delta = params.alpha, params.delta
     rx = radius(x)
     eng_0 = get_radial_engine(params, 0.0, cfg)
@@ -236,8 +236,7 @@ def check_invariance(beta: float, t: float, x,
     LHS = int p~(t,x,y)|y|^{-beta} dy; RHS = |x|^{-beta}
     + (kappa - kappa_beta) int_0^t int p~(s,x,y)|y|^{-beta-alpha} dy ds.
     """
-    if params.regime is Regime.SUPERCRITICAL:
-        raise DomainError("invariance checks require a finite kernel")
+    params.require_finite_kernel("the invariance check")
     d, alpha = params.d, params.alpha
     if not (0.0 <= beta < d - alpha):
         raise DomainError(f"beta must lie in [0, d - alpha), got {beta}")
@@ -282,8 +281,10 @@ def bounds_scan(params: ModelParams, refine_factor: float = 1.25) -> RatioReport
     of the reduction, not new information); the refinement drift compares
     c_upper/c_lower against a run with all grid densities scaled up.
     """
-    if params.regime is Regime.SUPERCRITICAL:
-        raise DomainError("the two-sided estimate requires a finite kernel")
+    params.require_finite_kernel("the two-sided estimate")
+    if refine_factor > _MAX_REFINE:
+        raise DomainError(f"the refinement factor must be at most {_MAX_REFINE:g}, "
+                          f"got {refine_factor}")
     fine_cfg = QuadratureConfig().refined(refine_factor)
     U = get_planar_engine(params, 1.0, _SCAN_Y0).slice().require_converged()
     ratios = {t: _scan_ratios(params, U, t) for t in _SCAN_TIMES}
@@ -383,8 +384,7 @@ def continuity_scan(params: ModelParams) -> CheckResult:
     (every second node) the maximum jump must be larger than on the fine
     grid, as it is for any continuous function sampled at half the spacing.
     """
-    if params.regime is Regime.SUPERCRITICAL:
-        raise DomainError("continuity diagnostics require a finite kernel")
+    params.require_finite_kernel("the continuity scan")
     U = get_planar_engine(params, 1.0, _SCAN_Y0).slice().require_converged()
     delta, alpha = params.delta, params.alpha
     r = U.r_grid

@@ -8,9 +8,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hardyheat import duhamel, verifier
+from hardyheat import duhamel, forms, verifier
 from hardyheat.cli import main
-from hardyheat.params import kappa_star
+from hardyheat.params import kappa_of_beta, kappa_star
 from hardyheat.stable_kernel import levy_constant
 
 
@@ -112,6 +112,16 @@ def test_mc_deterministic(runner, tmp_path):
     assert doc["std_error"] > 0.0
 
 
+def test_mc_delta_is_the_matching_kappa(runner):
+    args = ["--t", "1", "--x", "1,0", "--beta", "0.5", "--paths", "2000",
+            "--steps", "30", "--seed", "7"]
+    a = runner.invoke(main, ["mc", "--delta", "0.2"] + args)
+    b = runner.invoke(main, ["mc", "--kappa", repr(kappa_of_beta(2, 1.0, 0.2))]
+                      + args)
+    assert a.exit_code == 0 and b.exit_code == 0
+    assert a.stdout_bytes == b.stdout_bytes
+
+
 def test_mc_seed_changes_output(runner):
     args = ["mc", "--kappa", "0.1", "--t", "1", "--x", "1,0",
             "--beta", "0.5", "--paths", "2000", "--steps", "30"]
@@ -210,6 +220,15 @@ def test_unwritable_output(runner, tmp_path):
     ["kernel", "--t", "1e-200", "--x", "0,0", "--y", "0,0"],
     # a curve too long to allocate
     ["kappa", "--curve", "100000000000"],
+    # Philox keys are 64-bit
+    ["mc", "--kappa", "0.1", "--t", "1", "--x", "1,0", "--beta", "0.5",
+     "--seed", "99999999999999999999999"],
+    ["mc", "--kappa", "0.1", "--t", "1", "--x", "1,0", "--beta", "0.5",
+     "--seed", str(2 ** 64 - 1)],
+    ["mc", "--kappa", "0.1", "--t", "1", "--x", "1,0", "--beta", "0.5",
+     "--seed", "-1"],
+    ["verify", "--suite", "invariance", "--kappa", "0.1",
+     "--seed", str(2 ** 63)],
 ])
 def test_bad_input_exits_2(runner, args):
     res = runner.invoke(main, args)
@@ -217,7 +236,24 @@ def test_bad_input_exits_2(runner, args):
     assert isinstance(res.exception, SystemExit)
 
 
-@pytest.mark.parametrize("factor", ["nan", "inf"])
+@pytest.mark.parametrize("args", [
+    ["form", "--kappa", "0.1"],
+    ["verify", "--suite", "supermedian", "--kappa", "0.1"],
+])
+@pytest.mark.parametrize("budget", ["nan", "-1", "inf"])
+def test_bad_budget_exits_2_before_any_check(runner, monkeypatch, args, budget):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(forms, "load_corpus", no_check)
+    monkeypatch.setattr(verifier, "get_radial_engine", no_check)
+    res = runner.invoke(main, args + ["--budget", budget])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "--budget" in res.stderr
+
+
+@pytest.mark.parametrize("factor", ["nan", "inf", "10"])
 def test_bounds_bad_refine_exits_2_before_any_engine(runner, monkeypatch, factor):
     def no_engine(*args, **kwargs):
         raise AssertionError("a planar engine was built")
@@ -228,6 +264,52 @@ def test_bounds_bad_refine_exits_2_before_any_engine(runner, monkeypatch, factor
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith("error: ")
+
+
+# a coarse planar grid on which bounds at kappa = 0.1 converges in seconds
+COARSE = duhamel.QuadratureConfig(time_subdivisions=4, radial_per_decade=1,
+                                  n_angular=8)
+
+
+@pytest.fixture()
+def coarse_engines(monkeypatch):
+    """The verifier's planar engines on COARSE, or on COARSE.refined(1.25)
+    where a check asks for a refined grid, in a cache of their own."""
+    monkeypatch.setattr(duhamel, "_ENGINE_CACHE", {})
+    monkeypatch.setattr(verifier, "get_planar_engine",
+                        lambda params, t, y, cfg=None: duhamel.get_planar_engine(
+                            params, t, y, COARSE if cfg is None else COARSE.refined(1.25)))
+
+
+def test_bounds_json_and_csv(runner, coarse_engines):
+    args = ["bounds", "--kappa", "0.1"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.stdout)
+    assert sorted(doc) == ["bounds", "continuity", "schema"]
+    assert sorted(doc["bounds"]) == [
+        "angles", "c_lower", "c_upper", "radii", "ratios", "refinement_drift",
+        "slope", "slope_target", "t_values"]
+    assert sorted(doc["bounds"]["ratios"]) == ["0.25", "1.0", "4.0"]
+    assert doc["continuity"]["name"] == "continuity"
+    csv = runner.invoke(main, args + ["--format", "csv"])
+    assert csv.exit_code == 0
+    header, *rows = csv.stdout.splitlines()
+    assert header == "t,radius,angle,ratio"
+    assert len(rows) == 3 * 11 * 3
+    assert runner.invoke(main, args).stdout_bytes == res.stdout_bytes
+    assert runner.invoke(main, args + ["--format", "csv"]).stdout_bytes \
+        == csv.stdout_bytes
+
+
+@pytest.mark.slow
+def test_form_suite(runner):
+    res = runner.invoke(main, ["form", "--kappa", "0.1"])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.stdout)
+    assert doc["status"] == "pass"
+    assert len(doc["results"]) == 41
+    assert len(doc["near_optimizer_gaps"]) == 3
 
 
 # far out in the tail, where the unit-time density underflows

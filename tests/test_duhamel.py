@@ -217,12 +217,12 @@ def test_engine_cache_keys(ref_subcritical, monkeypatch):
     eng = get_planar_engine(ref_subcritical, 1.0, X, cfg)
     assert get_planar_engine(ref_subcritical, 1.0, X, QuadratureConfig()) is eng
     assert get_planar_engine(ref_subcritical, 1.0, X, replace(cfg, n_angular=16)) is not eng
-    # above kappa* delta is NaN, so equal couplings give unequal params;
-    # the cache must still share one engine between them
+    # above kappa* delta is NaN; params compare on (d, alpha, kappa), so
+    # equal couplings are equal params and share one engine
     ks = kappa_star(2, 1.0)
     a = ModelParams.from_kappa(2, 1.0, 1.05 * ks)
     b = ModelParams.from_kappa(2, 1.0, 1.05 * ks)
-    assert a != b
+    assert a == b and hash(a) == hash(b)
     assert get_planar_engine(a, 1.0, X, cfg) is get_planar_engine(b, 1.0, X, cfg)
     with pytest.raises(FrozenInstanceError):
         cfg.n_angular = 16

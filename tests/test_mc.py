@@ -89,6 +89,11 @@ def test_config_validation():
         McConfig(n_paths=0)
     with pytest.raises(DomainError):
         McConfig(n_steps=0)
+    # Philox keys are 64-bit: a larger seed overflowed or aliased seed 0
+    for seed in (-1, 2 ** 63, 2 ** 64 - 1, 10 ** 23):
+        with pytest.raises(DomainError, match="seed"):
+            McConfig(seed=seed)
+    assert McConfig(seed=0).seed == 0 and McConfig(seed=2 ** 63 - 1)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -85,6 +85,21 @@ def test_regime_classification():
     assert classify(2, 1.0, 1.05 * ks) is Regime.SUPERCRITICAL
     p = ModelParams.from_kappa(2, 1.0, 1.05 * ks)
     assert p.is_supercritical and np.isnan(p.delta)
+    with pytest.raises(DomainError, match="the probe requires"):
+        p.require_finite_kernel("the probe")
+    ModelParams.from_kappa(2, 1.0, ks).require_finite_kernel("the probe")
+
+
+def test_params_compare_on_the_model():
+    # delta and the regime follow from (d, alpha, kappa); from_delta's delta
+    # and from_kappa's bisection may differ in the last bits
+    delta = 0.2
+    a = ModelParams.from_delta(2, 1.0, delta)
+    b = ModelParams.from_kappa(2, 1.0, kappa_of_beta(2, 1.0, delta))
+    assert a == b and hash(a) == hash(b)
+    assert a.delta == delta and b.delta == pytest.approx(delta, abs=1e-10)
+    assert a != ModelParams.from_kappa(2, 1.0, 0.5 * a.kappa)
+    assert a != ModelParams.from_kappa(2, 1.5, a.kappa)
 
 
 def test_domain_errors():
